@@ -8,8 +8,9 @@ pieces are importable on their own:
   negative real axis, the relaxation kernel, and its exact antiderivative;
 * :mod:`fracspec.spectra` -- torus Fourier analysis/synthesis, Liouville
   norms, fractional operator powers, embedding-constant scans;
-* :mod:`fracspec.modal` -- the per-mode fractional Cauchy problem: singular
-  convolution quadrature plus the L1 Caputo differentiator;
+* :mod:`fracspec.modal` -- the per-mode fractional Cauchy problem, solved
+  one eigenvalue shell at a time: singular convolution quadrature plus the
+  L1 Caputo differentiator;
 * :mod:`fracspec.solver` -- full-field assembly, termwise operators,
   residual reports, truncation-tail indicators;
 * :mod:`fracspec.counterexample` -- the Hardy-Littlewood datum and the

@@ -9,8 +9,15 @@ carries the xi^{rho-1} singularity, is integrated exactly per subinterval
 (differences of its running integral, stable by construction), while f is
 frozen at subinterval midpoints.  A graded mesh concentrates nodes at the
 singular end; accuracy is certified by mesh doubling, not by an a priori
-estimate.  The L1 differentiator closes the loop: residuals of the
-computed w under the discrete Caputo operator verify the equation itself.
+estimate.
+
+The homogeneous factor and the kernel moments depend on lam but not on the
+mode, so solve_shell does that work once for all modes on one eigenvalue
+shell lam = |n|^2; only the weighting by each mode's f and the refinement
+decision are per mode.  solve_mode is its one-member case.
+
+The L1 differentiator closes the loop: residuals of the computed w under the
+discrete Caputo operator verify the equation itself.
 """
 
 from __future__ import annotations
@@ -194,30 +201,41 @@ class ModeSolution:
     quadrature_error_est: float
 
 
-def _convolve_many(rho, lam, f_n, times, mesh) -> np.ndarray:
-    """Product-integration convolution at each positive time, vectorized.
+def _moment_chunks(rho, lam, times, mesh):
+    """Kernel mass per subinterval, one chunk of evaluation times at a time.
 
-    The mesh's fractional layout is rescaled to [0, t] per evaluation time.
-    Kernel mass per subinterval comes from differences of the running kernel
-    integral; f is sampled at subinterval midpoints (in the kernel variable).
+    The mesh's fractional layout is rescaled to [0, t] per evaluation time;
+    the mass of each subinterval comes from differences of the running kernel
+    integral.  Yields (slice of times, those times, moments).  The moments
+    depend on (rho, lam, times, mesh) only, never on the source, and each
+    chunk holds about 4e6 of them.
     """
-    times = np.asarray(times, dtype=float)
-    out = np.zeros(times.shape, dtype=complex)
-    if times.size == 0:
-        return out
     fr_nodes = mesh.node_fractions()
-    fr_mid = mesh.midpoint_fractions()
     chunk = max(1, int(4_000_000 // (mesh.M + 1)))
     for start in range(0, times.size, chunk):
         ts = times[start : start + chunk]
         x = ts[:, None] * fr_nodes[None, :]
         cum = mlf.kernel_cumulative(rho, lam, x.ravel()).reshape(x.shape)
-        moments = np.diff(cum, axis=1)
-        fvals = np.asarray(
-            f_n(ts[:, None] * (1.0 - fr_mid)[None, :]), dtype=complex
-        )
-        out[start : start + chunk] = np.sum(moments * fvals, axis=1)
-    return out
+        yield slice(start, start + chunk), ts, np.diff(cum, axis=1)
+
+
+def _convolve_many(rho, lam, profiles, times, mesh) -> list:
+    """Product-integration convolution of each profile at each positive time.
+
+    Every chunk of kernel moments is computed once and weighted by each
+    profile sampled at the subinterval midpoints (in the kernel variable).
+    """
+    times = np.asarray(times, dtype=float)
+    outs = [np.zeros(times.shape, dtype=complex) for _ in profiles]
+    if not outs:
+        return outs
+    fr_mid = mesh.midpoint_fractions()
+    for part, ts, moments in _moment_chunks(rho, lam, times, mesh):
+        lags = ts[:, None] * (1.0 - fr_mid)[None, :]
+        for out, f_n in zip(outs, profiles):
+            fvals = np.asarray(f_n(lags), dtype=complex)
+            out[part] = np.sum(moments * fvals, axis=1)
+    return outs
 
 
 def convolve_kernel(rho: float, lam: float, f_n: TimeProfile, t: float, mesh: GradedMesh) -> complex:
@@ -225,7 +243,7 @@ def convolve_kernel(rho: float, lam: float, f_n: TimeProfile, t: float, mesh: Gr
     _check_mode_params(rho, lam)
     if not (0.0 < t <= mesh.T * (1.0 + 1e-12)):
         raise DomainError(f"need 0 < t <= mesh.T = {mesh.T}, got t = {t}")
-    return complex(_convolve_many(rho, lam, f_n, np.array([t]), mesh)[0])
+    return complex(_convolve_many(rho, lam, [f_n], np.array([t]), mesh)[0][0])
 
 
 def _check_mode_params(rho: float, lam: float) -> None:
@@ -233,6 +251,85 @@ def _check_mode_params(rho: float, lam: float) -> None:
         raise DomainError(f"rho must lie in (0, 1], got {rho}")
     if not (lam >= 0.0) or not math.isfinite(lam):
         raise DomainError(f"eigenvalue must be finite and nonnegative, got {lam}")
+
+
+def solve_shell(
+    rho: float,
+    lam: float,
+    members,
+    times,
+    mesh: GradedMesh,
+    tolerance: float | None = None,
+) -> list:
+    """Trajectories of all modes sharing the eigenvalue lam, one per member.
+
+    members is a sequence of (phi_n, f_n) pairs.  E_{rho,1}(-lam t^rho) is
+    evaluated once for the shell, and each mesh level's kernel moments once
+    for every member still refining on it.  Each member follows the
+    solve_mode rule on its own: its quadrature_error_est is the discrepancy
+    between the first pair of consecutive levels that agree within the
+    tolerance, and a member still above it at the ceiling raises
+    ConvergenceError.
+    """
+    _check_mode_params(rho, lam)
+    times_arr = np.asarray(times, dtype=float)
+    if times_arr.ndim != 1 or times_arr.size == 0:
+        raise DomainError("times must be a nonempty 1-d sequence")
+    if np.any(np.diff(times_arr) < 0.0):
+        raise DomainError("times must be sorted ascending")
+    if times_arr[0] < 0.0 or times_arr[-1] > mesh.T * (1.0 + 1e-12):
+        raise DomainError(f"times must lie in [0, {mesh.T}]")
+    if tolerance is None:
+        tolerance = 1e-8 if rho == 1.0 else 1e-6
+    members = [(complex(phi_n), f_n) for phi_n, f_n in members]
+
+    homog, _, _ = mlf.mlf_neg_array(mlf.MlfParams(rho, 1.0), lam * times_arr**rho)
+    homog = homog.astype(complex)
+    values = [phi_n * homog for phi_n, _ in members]
+    ests = [0.0] * len(members)
+
+    pos = times_arr > 0.0
+    t_pos = times_arr[pos]
+    active = [
+        i for i, (_, f_n) in enumerate(members) if f_n is not None and not f_n.is_zero
+    ]
+    current = mesh
+    coarse = _convolve_many(rho, lam, [members[i][1] for i in active], t_pos, current)
+    while active:
+        refined = current.doubled()
+        fine = _convolve_many(rho, lam, [members[i][1] for i in active], t_pos, refined)
+        still, still_fine = [], []
+        for i, c, f in zip(active, coarse, fine):
+            est = float(np.max(np.abs(f - c))) if c.size else 0.0
+            ests[i] = est
+            if est <= tolerance:
+                values[i][pos] += f
+                continue
+            if refined.M >= _M_CAP:
+                raise ConvergenceError(
+                    f"mesh doubling up to M={refined.M} leaves quadrature "
+                    f"discrepancy {est:.3e} above tolerance {tolerance:.1e}"
+                )
+            still.append(i)
+            still_fine.append(f)
+        active, coarse, current = still, still_fine, refined
+
+    times_t = tuple(float(t) for t in times_arr)
+    out = []
+    for (phi_n, _), v, est in zip(members, values, ests):
+        # exact initial value, by definition rather than by quadrature
+        v[times_arr == 0.0] = phi_n
+        v.setflags(write=False)
+        out.append(
+            ModeSolution(
+                lam=float(lam),
+                phi_n=phi_n,
+                times=times_t,
+                values=v,
+                quadrature_error_est=est,
+            )
+        )
+    return out
 
 
 def solve_mode(
@@ -249,51 +346,10 @@ def solve_mode(
     The convolution runs on the mesh and on its doubling; the maximum
     discrepancy is reported as quadrature_error_est.  If it exceeds the
     tolerance (default 1e-8 in the classical limit rho = 1, 1e-6 otherwise),
-    the mesh is doubled again, up to a ceiling, before giving up.
+    the mesh is doubled again, up to a ceiling, before giving up.  This is
+    the one-member case of solve_shell.
     """
-    _check_mode_params(rho, lam)
-    times_arr = np.asarray(times, dtype=float)
-    if times_arr.ndim != 1 or times_arr.size == 0:
-        raise DomainError("times must be a nonempty 1-d sequence")
-    if np.any(np.diff(times_arr) < 0.0):
-        raise DomainError("times must be sorted ascending")
-    if times_arr[0] < 0.0 or times_arr[-1] > mesh.T * (1.0 + 1e-12):
-        raise DomainError(f"times must lie in [0, {mesh.T}]")
-    if tolerance is None:
-        tolerance = 1e-8 if rho == 1.0 else 1e-6
-    phi_n = complex(phi_n)
-
-    homog, _, _ = mlf.mlf_neg_array(mlf.MlfParams(rho, 1.0), lam * times_arr**rho)
-    values = phi_n * homog.astype(complex)
-
-    est = 0.0
-    if f_n is not None and not f_n.is_zero:
-        pos = times_arr > 0.0
-        current = mesh
-        coarse = _convolve_many(rho, lam, f_n, times_arr[pos], current)
-        while True:
-            refined = current.doubled()
-            fine = _convolve_many(rho, lam, f_n, times_arr[pos], refined)
-            est = float(np.max(np.abs(fine - coarse))) if coarse.size else 0.0
-            if est <= tolerance:
-                break
-            if refined.M >= _M_CAP:
-                raise ConvergenceError(
-                    f"mesh doubling up to M={refined.M} leaves quadrature "
-                    f"discrepancy {est:.3e} above tolerance {tolerance:.1e}"
-                )
-            current, coarse = refined, fine
-        values[pos] += fine
-    # exact initial value, by definition rather than by quadrature
-    values[times_arr == 0.0] = phi_n
-    values.setflags(write=False)
-    return ModeSolution(
-        lam=float(lam),
-        phi_n=phi_n,
-        times=tuple(float(t) for t in times_arr),
-        values=values,
-        quadrature_error_est=est,
-    )
+    return solve_shell(rho, lam, [(phi_n, f_n)], times, mesh, tolerance)[0]
 
 
 # --- L1 discrete differentiators ---------------------------------------------

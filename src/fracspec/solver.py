@@ -1,7 +1,9 @@
-"""Field-level driver: truncation, per-mode solves, termwise operators, residuals.
+"""Field-level driver: truncation, per-shell solves, termwise operators, residuals.
 
 The field u(x, t) = sum over retained modes of w_n(t) e^{i n.x} is assembled
-from independent scalar mode problems (lam = |n|^2).  Everything downstream of
+from scalar mode problems (lam = |n|^2).  Modes with equal |n|^2 form one
+eigenvalue shell and are solved together, sharing the Mittag-Leffler values
+and kernel moments, which depend on lam alone.  Everything downstream of
 the mode solves is linear bookkeeping: applying the spatial operator multiplies
 a mode history by |n|^2, the fractional time derivative acts per mode through
 the L1 scheme, and residuals are synthesized back onto the grid.
@@ -28,7 +30,7 @@ from .modal import (
     TimeProfile,
     caputo_l1,
     default_grading,
-    solve_mode,
+    solve_shell,
 )
 from .spectra import (
     GridField,
@@ -243,10 +245,10 @@ class SolutionField:
         return sol.values
 
 
-def _mode_task(args):
-    rho, lam, phi_n, profile, times, mesh_t, mesh_m, mesh_r, tol = args
+def _shell_task(args):
+    rho, lam, members, times, mesh_t, mesh_m, mesh_r, tol = args
     mesh = GradedMesh(mesh_t, mesh_m, mesh_r)
-    return solve_mode(rho, lam, phi_n, profile, np.asarray(times), mesh, tol)
+    return solve_shell(rho, lam, members, np.asarray(times), mesh, tol)
 
 
 def solve(
@@ -263,7 +265,11 @@ def solve(
     """Assemble the truncated field solution at the requested times.
 
     Every mode in the ball |n|^2 < truncation_radius_sq with nonzero data is
-    solved (zero-data modes contribute the zero trajectory and are skipped).
+    solved (zero-data modes contribute the zero trajectory and are skipped),
+    one eigenvalue shell at a time: the modes with equal |n|^2 share their
+    Mittag-Leffler values and kernel moments, and each still refines its
+    quadrature mesh to its own tolerance.  With workers > 1 the shells are
+    spread over a process pool.
     In strict mode a failed smoothness gate raises RegularityError; otherwise
     failures are issued as warnings and the solve proceeds.
     """
@@ -291,30 +297,33 @@ def solve(
     sources_t = [(_truncate(g, k), q) for g, q in sources_full]
 
     mesh_r = default_grading(spec.rho) if grading_r is None else float(grading_r)
-    tasks = []
+    mode_solutions: dict = {}  # modes_within order, filled shell by shell
+    shells: dict = {}
     for idx in modes_within(n_dim, k):
         phi_n = phi_t.get(idx)
         terms = [(g.get(idx), q) for g, q in sources_t]
         f_n = TimeProfile.weighted_sum(terms)
         if phi_n == 0j and f_n.is_zero:
             continue
-        tasks.append(
-            (idx, (spec.rho, float(idx.norm_sq), phi_n, f_n,
-                   tuple(times_arr), spec.T, mesh_M, mesh_r, tolerance))
-        )
+        mode_solutions[idx] = None
+        shells.setdefault(float(idx.norm_sq), []).append((idx, phi_n, f_n))
+    tasks = [
+        (spec.rho, lam, [(phi_n, f_n) for _, phi_n, f_n in group],
+         tuple(times_arr), spec.T, mesh_M, mesh_r, tolerance)
+        for lam, group in shells.items()
+    ]
 
-    mode_solutions: dict = {}
     if workers is not None and workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=int(workers)) as pool:
             results = list(
-                pool.map(_mode_task, [t for _, t in tasks],
+                pool.map(_shell_task, tasks,
                          chunksize=max(1, len(tasks) // (4 * int(workers)) or 1))
             )
-        for (idx, _), sol in zip(tasks, results):
-            mode_solutions[idx] = sol
     else:
-        for idx, args in tasks:
-            mode_solutions[idx] = _mode_task(args)
+        results = [_shell_task(t) for t in tasks]
+    for group, sols in zip(shells.values(), results):
+        for (idx, _, _), sol in zip(group, sols):
+            mode_solutions[idx] = sol
 
     real = phi_full.real_valued and all(
         g.real_valued and q.is_real for g, q in sources_full

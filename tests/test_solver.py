@@ -6,8 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from fracspec.errors import AliasError, DomainError, MeshError, RegularityError
-from fracspec.modal import TimeProfile
+from fracspec import mlf
+from fracspec.errors import (
+    AliasError,
+    ConvergenceError,
+    DomainError,
+    MeshError,
+    RegularityError,
+)
+from fracspec.modal import GradedMesh, TimeProfile, default_grading, solve_mode
 from fracspec.solver import (
     ProblemSpec,
     ResidualReport,
@@ -25,6 +32,7 @@ from fracspec.spectra import (
     MultiIndex,
     SpectralField,
     apply_derivative_symbol,
+    modes_within,
     synthesize,
 )
 
@@ -405,3 +413,92 @@ def test_tail_time_scaling_and_source():
     assert later == pytest.approx(0.5 * phi_part + src_part, rel=1e-12)
     with pytest.raises(DomainError):
         truncation_tail(spec, 1.0, 4, 0.0)
+
+
+# --- per-shell solves ---------------------------------------------------------------
+
+
+def two_source_spec(rho=0.5):
+    """2D data on shells |n|^2 = 0, 1, 2, 4, 5 with |g_n| over seven decades.
+
+    With mesh_M = 4 the members of shell 5 end their refinement anywhere
+    from M = 8 to M = 512, so a shell's members leave it at different levels.
+    """
+    modes = modes_within(2, 6)
+    phi = SpectralField({m: 0.5 for m in modes}, 6, dimension=2)
+    g1 = SpectralField(
+        {m: 10.0 ** -(i % 7) for i, m in enumerate(modes)}, 6, dimension=2
+    )
+    g2 = SpectralField(
+        {m: 1j * 10.0 ** -((3 * i) % 5) for i, m in enumerate(modes)}, 6, dimension=2
+    )
+    return ProblemSpec(
+        dimension=2, rho=rho, T=1.0, phi=phi,
+        source=(
+            (g1, TimeProfile.cosine(9.0)),
+            (g2, TimeProfile.polynomial([0.0, 1.0, -2.0])),
+        ),
+    )
+
+
+def test_solve_matches_solve_mode_bitwise():
+    spec = two_source_spec()
+    times = np.linspace(0.0, 1.0, 5)
+    sol = solve(spec, times, 6, 7, mesh_M=4)
+    mesh = GradedMesh(1.0, 4, default_grading(spec.rho))
+    assert list(sol.modes) == modes_within(2, 6)
+    for idx, s in sol.modes.items():
+        f_n = TimeProfile.weighted_sum([(g.get(idx), q) for g, q in spec.source])
+        direct = solve_mode(spec.rho, float(idx.norm_sq), 0.5, f_n, times, mesh)
+        assert np.array_equal(s.values, direct.values), idx
+        assert s.quadrature_error_est == direct.quadrature_error_est, idx
+
+
+def test_solve_does_shell_work_once(monkeypatch):
+    kernel_calls = []
+    homog_calls = []
+    kernel_cumulative = mlf.kernel_cumulative
+    mlf_neg_array = mlf.mlf_neg_array
+
+    def counting_kernel(rho, lam, x):
+        kernel_calls.append((lam, np.size(x)))
+        return kernel_cumulative(rho, lam, x)
+
+    def counting_mlf(params, t):
+        if params.mu == 1.0:
+            homog_calls.append(params)
+        return mlf_neg_array(params, t)
+
+    monkeypatch.setattr(mlf, "kernel_cumulative", counting_kernel)
+    monkeypatch.setattr(mlf, "mlf_neg_array", counting_mlf)
+    sol = solve(two_source_spec(), np.linspace(0.0, 1.0, 5), 6, 7, mesh_M=4)
+    shells = {s.lam for s in sol.modes.values()}
+    assert len(sol.modes) == 21 and len(shells) == 5
+    assert kernel_calls
+    assert len(kernel_calls) == len(set(kernel_calls))
+    assert len(homog_calls) == len(shells)
+
+
+def test_solve_errors_through_shells():
+    spec = ProblemSpec(
+        dimension=1, rho=0.5, T=1.0, phi="cosine_mode",
+        source=((cos_field(1), TimeProfile.cosine(3.0)),),
+    )
+    with pytest.raises(ConvergenceError):
+        solve(spec, np.array([0.0, 1.0]), 2, 5, mesh_M=4, tolerance=1e-15)
+    with pytest.raises(DomainError):
+        solve(spec, np.array([0.0, 0.5, 0.2]), 2, 5)  # unsorted
+    with pytest.raises(DomainError):
+        solve(spec, np.array([-0.1, 0.5]), 2, 5)  # negative
+
+
+def test_solve_workers_match_serial_across_shells():
+    spec = two_source_spec()
+    times = np.linspace(0.0, 1.0, 5)
+    serial = solve(spec, times, 6, 7, mesh_M=4)
+    parallel = solve(spec, times, 6, 7, mesh_M=4, workers=2)
+    assert list(parallel.modes) == list(serial.modes)
+    for idx, s in serial.modes.items():
+        p = parallel.modes[idx]
+        assert np.array_equal(s.values, p.values)
+        assert s.quadrature_error_est == p.quadrature_error_est
