@@ -1,137 +1,78 @@
 """Gamma-function kernels used by the Mittag-Leffler evaluator.
 
-Everything here is vectorized over numpy arrays and pure.  The evaluator
-needs four things the stdlib does not provide in array form:
+Each function is the C library's ``math.gamma``/``math.lgamma`` wrapped in
+one scalar kernel that handles the edges libm refuses.  A float goes
+straight through the kernel; an array goes through it element by element,
+so scalar and array results are bit-equal.  All functions are pure.
 
-* ``gamma`` / ``lgamma`` via a Lanczos approximation (g = 7, 9 terms),
-  relative error at or below 1e-13 on the argument range the series and
-  asymptotic branches visit,
-* ``rgamma``, the reciprocal gamma, which is zero (not infinite) at the
-  poles 0, -1, -2, ...  Series terms whose gamma argument hits a pole
-  must contribute exactly zero,
-* ``lrgamma_signed``, the log-magnitude/sign pair of 1/Gamma, so the
-  asymptotic branch can form terms in log space without overflow,
-* ``sinpi`` with argument reduction, so the reflection formula stays
-  accurate for large arguments.
+* ``gamma``: poles give +inf, arguments past the double range +-inf.
+* ``lgamma``: log Gamma(x) for x > 0 only (every gamma argument in the
+  series is positive); x <= 0 raises ``DomainError``.
+* ``rgamma``: the reciprocal gamma, exactly 0.0 (not infinite) at the poles
+  0, -1, -2, ...  Series terms whose gamma argument hits a pole must
+  contribute exactly zero.  Above x = 171.6 it is exp(-lgamma(x)), which
+  underflows to 0; for |x| below ~1e-308 it is x; below x = -171 it is
+  +-inf, because the true magnitude exceeds the double range.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-_LANCZOS_G = 7.0
-_LANCZOS_C = np.array(
-    [
-        0.99999999999980993,
-        676.5203681218851,
-        -1259.1392167224028,
-        771.32342877765313,
-        -176.61502916214059,
-        12.507343278686905,
-        -0.13857109526572012,
-        9.9843695780195716e-6,
-        1.5056327351493116e-7,
-    ]
-)
-_HALF_LOG_TWO_PI = 0.5 * np.log(2.0 * np.pi)
-_SQRT_TWO_PI = np.sqrt(2.0 * np.pi)
-_LOG_PI = np.log(np.pi)
+from .errors import DomainError
 
 
-def sinpi(x):
-    """sin(pi*x) with exact reduction at integers."""
-    x = np.asarray(x, dtype=float)
-    n = np.round(x)
-    r = x - n
-    s = np.sin(np.pi * r)
-    sign = np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0)
-    return sign * s
+def _gamma(x: float) -> float:
+    try:
+        return math.gamma(x)
+    except ValueError:  # the poles 0, -1, -2, ...
+        return math.inf
+    except OverflowError:  # x > 171.6, or |x| below ~6e-309
+        return math.copysign(math.inf, x)
 
 
-def _lanczos_series(z):
-    # z = x - 1 with x >= 0.5; Horner over the pole expansion
-    acc = np.full_like(z, _LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        acc = acc + _LANCZOS_C[i] / (z + i)
-    return acc
+def _lgamma(x: float) -> float:
+    if x <= 0.0:
+        raise DomainError("lgamma requires x > 0")
+    try:
+        return math.lgamma(x)
+    except OverflowError:  # x above ~2.5e305
+        return math.inf
+
+
+def _rgamma(x: float) -> float:
+    try:
+        g = math.gamma(x)
+    except ValueError:  # the poles 0, -1, -2, ...
+        return 0.0
+    except OverflowError:  # x > 171.6, or |x| below ~6e-309 where 1/Gamma(x) ~ x
+        return math.exp(-_lgamma(x)) if x > 1.0 else x
+    if g == 0.0:  # x < -171: Gamma(x) underflows to a signed zero
+        return math.copysign(math.inf, g)
+    return 1.0 / g
+
+
+def _elementwise(kernel, x):
+    if isinstance(x, float):
+        return kernel(x)
+    a = np.asarray(x, dtype=float)
+    if not a.shape:
+        return kernel(float(a))
+    return np.array([kernel(v) for v in a.ravel().tolist()]).reshape(a.shape)
 
 
 def gamma(x):
     """Gamma(x) for real x; poles yield non-finite values (use rgamma there)."""
-    x = np.asarray(x, dtype=float)
-    refl = x < 0.5
-    xa = np.where(refl, 1.0 - x, x)
-    z = xa - 1.0
-    t = z + _LANCZOS_G + 0.5
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # pow is correctly rounded by libm, so prefer t**(z+0.5) * e^-t while
-        # that intermediate stays in range; switch to a single exp above.
-        safe = z < 134.0
-        zs = np.where(safe, z, 0.0)
-        direct = np.power(t, zs + 0.5) * np.exp(-t)
-        folded = np.exp((z + 0.5) * np.log(t) - t)
-        g = _SQRT_TWO_PI * np.where(safe, direct, folded) * _lanczos_series(z)
-        out = np.where(refl, np.pi / (sinpi(x) * g), g)
-    return out if out.shape else float(out)
+    return _elementwise(_gamma, x)
 
 
 def lgamma(x):
     """log Gamma(x) for x > 0 only (all gamma arguments in the series are positive)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        from .errors import DomainError
-
-        raise DomainError("lgamma requires x > 0")
-    small = x < 0.5
-    xa = np.where(small, x + 1.0, x)
-    z = xa - 1.0
-    t = z + _LANCZOS_G + 0.5
-    lg = _HALF_LOG_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(_lanczos_series(z))
-    lg = np.where(small, lg - np.log(np.where(small, x, 1.0)), lg)
-    return lg if lg.shape else float(lg)
+    return _elementwise(_lgamma, x)
 
 
 def rgamma(x):
     """1/Gamma(x); exactly 0.0 at the poles x = 0, -1, -2, ..."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    neg = x < 0.5
-    # reflection: 1/Gamma(x) = sin(pi x) * Gamma(1-x) / pi
-    if np.any(neg):
-        xn = x[neg]
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[neg] = sinpi(xn) * gamma(1.0 - xn) / np.pi
-        # Gamma(1-x) overflows for x < -170; the product is +-inf, which is
-        # honest (the true magnitude exceeds the double range).
-    pos = ~neg
-    if np.any(pos):
-        xp = x[pos]
-        big = xp > 140.0
-        vals = np.empty_like(xp)
-        if np.any(~big):
-            vals[~big] = 1.0 / gamma(xp[~big])
-        if np.any(big):
-            with np.errstate(under="ignore"):
-                vals[big] = np.exp(-lgamma(xp[big]))
-        out[pos] = vals
-    return out if out.shape else float(out)
-
-
-def lrgamma_signed(x):
-    """(log |1/Gamma(x)|, sign) elementwise; (-inf, 0) at poles."""
-    x = np.asarray(x, dtype=float)
-    mag = np.empty_like(x)
-    sign = np.ones_like(x)
-    neg = x < 0.5
-    if np.any(neg):
-        xn = x[neg]
-        s = sinpi(xn)
-        with np.errstate(divide="ignore"):
-            mag[neg] = np.log(np.abs(s)) + lgamma(1.0 - xn) - _LOG_PI
-        sign[neg] = np.sign(s)
-    pos = ~neg
-    if np.any(pos):
-        mag[pos] = -lgamma(x[pos])
-    if mag.shape:
-        return mag, sign
-    return float(mag), float(sign)
+    return _elementwise(_rgamma, x)

@@ -18,7 +18,9 @@ exp(-s).  Branches are therefore routed on s, not on t:
   ~1e-11 at worst (rho = mu ~ 1) and machine precision for s >= 50.
 * the gap in between: a per-(rho, mu) Chebyshev interpolant of
   log E(-e^v), v = log t, built once from extended-precision series
-  values and certified against off-node probes.  Positivity of E (mu >=
+  values and certified against off-node probes.  One build computes each
+  mpmath Gamma(rho k + mu) once and shares it across every node and
+  probe; the table is dropped with the build.  Positivity of E (mu >=
   rho) makes the log form safe; for mu < rho the gap falls back to
   extended precision per call.
 * exact elementary cases (rho = 1, mu in {1, 2}, plus rho = 2 through
@@ -252,8 +254,12 @@ def _asym_many(rho: float, mu: float, t: np.ndarray):
 # --- extended-precision fallback -------------------------------------------
 
 
-def _mp_value(rho: float, mu: float, t: float, dps: int):
-    """E_{rho,mu}(-t) by direct series at dps digits; returns (value, est)."""
+def _mp_value(rho: float, mu: float, t: float, dps: int, gammas: list):
+    """E_{rho,mu}(-t) by direct series at dps digits; returns (value, est).
+
+    ``gammas[k]`` holds Gamma(rho k + mu) at dps digits; missing entries are
+    appended, so callers at one dps can share the list across t values.
+    """
     with mp.workdps(dps):
         rho_ = mpf(rho)
         mu_ = mpf(mu)
@@ -264,7 +270,9 @@ def _mp_value(rho: float, mu: float, t: float, dps: int):
         maxmag = mpf(0)
         thresh = mpf(10) ** (-dps - 6)
         while True:
-            term = p / _mp_gamma(rho_ * k + mu_)
+            if k == len(gammas):
+                gammas.append(_mp_gamma(rho_ * k + mu_))
+            term = p / gammas[k]
             s += term
             a = abs(s)
             if a > maxmag:
@@ -293,9 +301,9 @@ def _mp_eval(rho: float, mu: float, t: float):
             f"cancellation beyond extended-precision budget (rho={rho}, t={t})"
         )
     dps = int(digits) + 25
-    val, est = _mp_value(rho, mu, t, dps)
+    val, est = _mp_value(rho, mu, t, dps, [])
     if est > TARGET_REL:
-        val, est = _mp_value(rho, mu, t, dps + 15)
+        val, est = _mp_value(rho, mu, t, dps + 15, [])
     return val, est
 
 
@@ -319,6 +327,8 @@ def _cheb_build(rho: float, mu: float) -> _ChebModel:
     vhi = rho * math.log(_S_ASYM)
     width = vhi - vlo
     dps = 34
+    # Gamma(rho k + mu) at dps digits, computed once for every node and probe
+    gammas = []
     start = 17 if width < 0.4 else (25 if width < 1.0 else 33)
     best = None
     nnode = start
@@ -328,13 +338,13 @@ def _cheb_build(rho: float, mu: float) -> _ChebModel:
         w = np.cos(theta)
         v = 0.5 * (vlo + vhi) + 0.5 * (vhi - vlo) * w
         g = np.array(
-            [math.log(_mp_value(rho, mu, math.exp(vv), dps)[0]) for vv in v]
+            [math.log(_mp_value(rho, mu, math.exp(vv), dps, gammas)[0]) for vv in v]
         )
         coef = (2.0 / nnode) * (np.cos(np.outer(np.arange(nnode), theta)) @ g)
         coef[0] *= 0.5
         # certify at off-node probes
         vp = vlo + (vhi - vlo) * (np.arange(1, 14) / 14.0)
-        ref = np.array([_mp_value(rho, mu, math.exp(vv), dps)[0] for vv in vp])
+        ref = np.array([_mp_value(rho, mu, math.exp(vv), dps, gammas)[0] for vv in vp])
         wp = (2.0 * vp - vlo - vhi) / (vhi - vlo)
         approx = np.exp(np.polynomial.chebyshev.chebval(wp, coef))
         cert = float(np.max(np.abs(approx - ref) / np.abs(ref)))

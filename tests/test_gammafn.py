@@ -79,26 +79,44 @@ def test_lgamma_rejects_nonpositive():
         gammafn.lgamma(-3.2)
 
 
-def test_sinpi_exact_at_integers_and_reduced_at_large_args():
-    assert float(gammafn.sinpi(4.0)) == 0.0
-    assert float(gammafn.sinpi(-11.0)) == 0.0
-    # argument reduction keeps full precision where sin(pi*x) in doubles dies
-    assert float(gammafn.sinpi(1e8 + 0.25)) == pytest.approx(
-        math.sqrt(0.5), rel=1e-15
-    )
-    assert float(gammafn.sinpi(7.5)) == pytest.approx(-1.0, rel=1e-15)
+# at and past the edges of libm's gamma range: mpmath at 40 significant
+# digits, frozen, as (x, 1/Gamma(x), log|Gamma(x)|)
+RGAMMA_EDGE_ORACLE = [
+    (1e-300, "1.0e-300", "690.7755278982137052053974"),
+    (171.7, "3.770398861934029628385692e-309", "710.1716129403750148718214"),
+    (200.0, "2.535953906961924843506033e-373", "857.9336698258574368182534"),
+    (-170.5, "-3.018649650835053752241911e+307", "-707.9984331450788420982205"),
+    (-180.5, "-8.597276862830757525618376e+329", "-759.7019411043013522751016"),
+]
 
 
-def test_lrgamma_signed_consistency():
-    for x in (-47.3, -12.6, -0.9, 0.3, 2.0, 55.5, 300.0):
-        lg, sgn = gammafn.lrgamma_signed(x)
-        r = float(gammafn.rgamma(x)) if x < 140 else 1.0
-        if x < 140:
-            assert sgn * math.exp(float(lg)) == pytest.approx(r, rel=5e-13)
-        else:
-            # beyond direct-range, check against lgamma instead
-            assert float(lg) == pytest.approx(-float(gammafn.lgamma(x)), rel=1e-13)
-            assert sgn == 1.0
+@pytest.mark.parametrize("x,recip,loggamma", RGAMMA_EDGE_ORACLE)
+def test_rgamma_lgamma_past_libm_range(x, recip, loggamma):
+    want = float(recip)
+    got = float(gammafn.rgamma(x))
+    if want == 0.0 or math.isinf(want):
+        # 1/Gamma(200) underflows to 0; 1/Gamma(-180.5) exceeds the double range
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=5e-13)
+    if x > 0:
+        assert float(gammafn.lgamma(x)) == pytest.approx(float(loggamma), rel=1e-13)
+
+
+def test_array_results_bit_equal_to_scalar_calls():
+    xs = np.array(
+        [0.0, -1.0, -40.0, -0.5, -33.7, -170.5, -180.5, -1e-300, 1e-300, 1e-320,
+         0.1, 3.7, 170.5, 171.7, 200.0, 1e6]
+    ).reshape(4, 4)
+    for fn, arg in (
+        (gammafn.gamma, xs),
+        (gammafn.rgamma, xs),
+        (gammafn.lgamma, xs[xs > 0.0]),
+    ):
+        got = fn(arg)
+        assert isinstance(got, np.ndarray) and got.shape == arg.shape
+        want = np.array([fn(float(x)) for x in arg.ravel()]).reshape(arg.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -166,6 +166,20 @@ def test_array_interface_matches_scalar():
         assert mlf.branch_from_code(codes[i]) is rep.branch
 
 
+def test_cheb_build_computes_each_mp_gamma_once(monkeypatch):
+    # one build shares a table of Gamma(rho k + mu) across every node and probe
+    args = []
+
+    def counting_gamma(x):
+        args.append(x)
+        return mpmath.gamma(x)
+
+    monkeypatch.setattr(mlf, "_mp_gamma", counting_gamma)
+    mlf._cheb_build(0.5, 1.0)
+    assert args
+    assert len(args) == len(set(args))
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         mlf.MlfParams(0.0, 1.0)
