@@ -7,7 +7,7 @@ pieces are importable on their own:
 * :mod:`fracspec.mlf` -- two-parameter Mittag-Leffler evaluation on the
   negative real axis, the relaxation kernel, and its exact antiderivative;
 * :mod:`fracspec.spectra` -- torus Fourier analysis/synthesis, Liouville
-  norms, fractional operator powers, embedding-constant scans;
+  norms and their tail verdicts, fractional powers, embedding-constant scans;
 * :mod:`fracspec.modal` -- the per-mode fractional Cauchy problem, solved
   one eigenvalue shell at a time: singular convolution quadrature plus the
   L1 Caputo differentiator;

@@ -7,7 +7,8 @@ ln k.  Feeding it to the evolution problem makes the twice-differentiated
 solution series diverge logarithmically, with slope 1/(Gamma(1-rho) t^rho);
 the routines here compute those partial sums, fit the growth law, scan
 Hoelder quotients on synthesized truncations, and locate the critical
-smoothness exponent by classifying weighted tail sums.
+smoothness exponent from the tail verdicts of spectra.tail_verdicts, the same
+classifier the solver's regularity gate uses.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 from .errors import DomainError, InconclusiveError
 from .mlf import MlfParams, mlf_neg_array
-from .spectra import MultiIndex, SpectralField, require_alias_free, synthesize
+from .spectra import MultiIndex, SpectralField, radial_weight_sq, require_alias_free
+from .spectra import synthesize, tail_verdicts
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -151,64 +153,37 @@ def holder_constant(datum, grid_M: int, exponent: float) -> float:
 def critical_exponent(datum, a_grid, checkpoints) -> float:
     """Boundary exponent separating finite from divergent weighted tail sums.
 
-    For each a the partial sums of (1+|n|^2)^a |phi_n|^2 are folded into
-    decades of |n|; shrinking decade increments (ratio <= 0.92, or a
-    negligible final decade) classify a as finite, flat or growing
-    increments as divergent.  Returns the midpoint between the largest
-    finite and smallest divergent grid point, +inf when every tested a is
-    finite, and raises InconclusiveError when the grid brackets no boundary.
+    Each a in a_grid is classified by spectra.tail_verdicts on the coefficients
+    up to |n| = max(checkpoints), which must be at least 1000.  Returns the
+    midpoint between the largest finite and the smallest divergent grid point,
+    skipping inconclusive ones, and +inf when every verdict is finite; raises
+    InconclusiveError when the verdicts bracket no single boundary.
 
     Accepts an HLDatum, a SpectralField, or a pair (n_values, moduli)
     describing radial one-sided coefficients extended symmetrically.
     """
     ns, wsq = _radial_weight_sq(datum)
-    cps = sorted(int(k) for k in checkpoints)
-    if cps[-1] > ns[-1]:
+    top = max(int(k) for k in checkpoints)
+    if top > ns[-1]:
         raise DomainError(
-            f"checkpoints reach |n| = {cps[-1]} but coefficients stop at {int(ns[-1])}"
+            f"checkpoints reach |n| = {top} but coefficients stop at {int(ns[-1])}"
         )
-    decades = [10**j for j in range(1, 13) if 10**j <= cps[-1]]
-    if len(decades) < 3:
+    if top < 1000:
         raise InconclusiveError(
             "need at least three decades of coefficients to classify tails"
         )
 
     grid = sorted(float(a) for a in a_grid)
-    verdicts = []
-    for a in grid:
-        weighted = (1.0 + ns**2) ** a * wsq
-        running = np.cumsum(weighted)
-        sums = np.array([running[np.searchsorted(ns, d, side="right") - 1] for d in decades])
-        incs = np.diff(np.concatenate([[0.0], sums]))
-        verdicts.append(_tail_converges(sums, incs))
-
-    if all(verdicts):
+    verdicts = tail_verdicts(ns, wsq, grid, top)
+    if all(v == "finite" for v in verdicts):
         return math.inf
-    if not any(verdicts):
+    finite = [a for a, v in zip(grid, verdicts) if v == "finite"]
+    divergent = [a for a, v in zip(grid, verdicts) if v == "divergent"]
+    if not finite or not divergent or divergent[0] < finite[-1]:
         raise InconclusiveError(
-            f"every exponent in {grid} shows a divergent tail; no boundary bracketed"
+            f"tail verdicts over {grid} bracket no single boundary: {verdicts}"
         )
-    # demand a single transition: finite below, divergent above
-    last_true = max(i for i, v in enumerate(verdicts) if v)
-    first_false = min(i for i, v in enumerate(verdicts) if not v)
-    if first_false < last_true:
-        raise InconclusiveError(
-            f"tail verdicts over {grid} are not monotone: {verdicts}"
-        )
-    return 0.5 * (grid[last_true] + grid[first_false])
-
-
-def _tail_converges(sums: np.ndarray, incs: np.ndarray) -> bool:
-    total = float(sums[-1])
-    if total == 0.0:
-        return True
-    if incs[-1] <= 1e-9 * total:
-        return True
-    if incs[-2] <= 0.0:
-        return True
-    r1 = incs[-1] / incs[-2]
-    r2 = incs[-2] / incs[-3] if len(incs) >= 3 and incs[-3] > 0 else r1
-    return max(r1, r2) <= 0.92
+    return 0.5 * (finite[-1] + divergent[0])
 
 
 def _radial_weight_sq(datum):
@@ -217,16 +192,10 @@ def _radial_weight_sq(datum):
         ns = np.arange(1, datum.k_max + 1, dtype=float)
         return ns, 2.0 * datum.moduli() ** 2
     if isinstance(datum, SpectralField):
-        by_r: dict[float, float] = {}
-        for idx, val in datum.items():
-            if idx.norm_sq == 0:
-                continue
-            r = math.sqrt(idx.norm_sq)
-            by_r[r] = by_r.get(r, 0.0) + abs(val) ** 2
-        if not by_r:
+        radii, weight_sq = radial_weight_sq(datum)
+        if radii.size == 0:
             raise DomainError("field has no nonzero modes to classify")
-        rs = np.array(sorted(by_r))
-        return rs, np.array([by_r[r] for r in rs])
+        return radii, weight_sq
     ns, moduli = datum
     ns = np.asarray(ns, dtype=float)
     moduli = np.asarray(moduli, dtype=float)

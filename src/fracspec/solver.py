@@ -9,8 +9,10 @@ a mode history by |n|^2, the fractional time derivative acts per mode through
 the L1 scheme, and residuals are synthesized back onto the grid.
 
 Two diagnostics frame the truncation: a regularity gate on the claimed
-smoothness exponent (advisory by default, enforced in strict mode) and a tail
-indicator over the stored-but-discarded coefficients used to judge the radius.
+smoothness exponent (advisory by default, enforced in strict mode), which
+rejects data only when spectra.tail_verdicts calls their weighted sum
+divergent, and a tail indicator over the stored-but-discarded coefficients
+used to judge the radius.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ from .spectra import (
     SpectralField,
     analyze,
     modes_within,
+    radial_weight_sq,
     require_alias_free,
     synthesize,
+    tail_verdicts,
 )
 
 _BUILTIN_NAMES = ("cosine_mode", "constant", "zero", "hardy_littlewood")
@@ -152,34 +156,12 @@ def _truncate(c: SpectralField, truncation_radius_sq: int) -> SpectralField:
 # --- regularity gate ------------------------------------------------------------
 
 
-def _octave_tail_converges(c: SpectralField, a: float) -> bool:
-    """Empirical tail test for the weighted coefficient sum at exponent a.
-
-    Weighted shell sums are folded into octaves of |n|; decaying octave
-    increments (ratio <= 0.85, or a negligible last octave) count as
-    finite, flat or growing increments as divergent.  Fields with fewer
-    than four populated octaves carry no evidence of divergence and pass.
-    """
-    by_octave: dict[int, float] = {}
-    for idx, val in c.items():
-        w = (1.0 + idx.norm_sq) ** a * abs(val) ** 2
-        j = max(0, (idx.norm_sq.bit_length() - 1) // 2)  # ~ log2 |n|
-        by_octave[j] = by_octave.get(j, 0.0) + w
-    if not by_octave:
-        return True
-    total = sum(by_octave.values())
-    incs = [by_octave[j] for j in sorted(by_octave)]
-    if len(incs) < 4 or total == 0.0:
-        return True
-    if incs[-1] <= 1e-12 * total:
-        return True
-    r1 = incs[-1] / incs[-2] if incs[-2] > 0 else math.inf
-    r2 = incs[-2] / incs[-3] if incs[-3] > 0 else math.inf
-    return max(r1, r2) <= 0.85
-
-
 def check_hypothesis(spec: ProblemSpec, phi_full: SpectralField, sources_full) -> list:
-    """Failure messages for the smoothness gate; empty when it passes."""
+    """Failure messages for the smoothness gate; empty when it passes.
+
+    A field fails only when spectra.tail_verdicts calls its weighted sum at
+    the claimed exponent divergent; finite and inconclusive verdicts pass.
+    """
     failures = []
     a = spec.claimed_exponent
     half_n = spec.dimension / 2.0
@@ -187,15 +169,12 @@ def check_hypothesis(spec: ProblemSpec, phi_full: SpectralField, sources_full) -
         failures.append(
             f"claimed exponent a = {a} does not exceed dimension/2 = {half_n}"
         )
-    if not _octave_tail_converges(phi_full, a):
-        failures.append(
-            f"initial datum fails the tail test at exponent a = {a}"
-        )
-    for i, (g_full, _q) in enumerate(sources_full):
-        if not _octave_tail_converges(g_full, a):
-            failures.append(
-                f"source factor {i} fails the tail test at exponent a = {a}"
-            )
+    fields = [("initial datum", phi_full)]
+    fields += [(f"source factor {i}", g_full) for i, (g_full, _q) in enumerate(sources_full)]
+    for name, c in fields:
+        radii, weight_sq = radial_weight_sq(c)
+        if tail_verdicts(radii, weight_sq, [a], math.sqrt(c.truncation_radius_sq)) == ["divergent"]:
+            failures.append(f"{name} fails the tail test at exponent a = {a}")
     return failures
 
 

@@ -282,6 +282,56 @@ def liouville_norm_sq(c: SpectralField, a: float) -> float:
     return total
 
 
+# Half-width, in units of a, of the band around the threshold a* inside which
+# a weighted tail is called inconclusive rather than finite or divergent.
+TAIL_BAND = 0.05
+
+
+def radial_weight_sq(c: SpectralField) -> tuple[np.ndarray, np.ndarray]:
+    """Radii |n| >= 1 in ascending order, each with |c_n|^2 summed over its modes."""
+    norm_sq = np.fromiter((idx.norm_sq for idx in c._entries), dtype=float, count=len(c))
+    vals = np.fromiter(c._entries.values(), dtype=complex, count=len(c))
+    keep = norm_sq > 0.0
+    shells, member = np.unique(norm_sq[keep], return_inverse=True)
+    return np.sqrt(shells), np.bincount(member, weights=np.abs(vals[keep]) ** 2)
+
+
+def tail_verdicts(radii, weight_sq, exponents, complete_radius) -> list:
+    """Classify Sum (1+r^2)^a w_r for each a: "finite", "divergent" or "inconclusive".
+
+    radii are |n| >= 1, weight_sq the |c_n|^2 summed over the modes of each
+    radius, and the data are complete for r < complete_radius.  The weighted
+    terms are folded into octave shells 2^j <= r < 2^(j+1) lying wholly inside
+    that radius, and log2 of the last three shell sums is fitted against j.
+    For |c_n| ~ |n|^-b in N dimensions the slope is 2 (a - a*), a* = b - N/2:
+    at or below -2 TAIL_BAND it is finite, at or above +2 TAIL_BAND divergent.
+    A last shell holding at most 1e-12 of the total is finite; fewer than three
+    complete shells, an empty shell in the fit, or a slope between the two
+    bounds is inconclusive.
+    """
+    r = np.asarray(radii, dtype=float)
+    n_shells = int(np.frexp(float(complete_radius))[1]) - 1  # floor(log2 R)
+    if n_shells < 3:
+        return ["inconclusive"] * len(exponents)
+    keep = r < 2.0**n_shells
+    shell = np.frexp(r[keep])[1] - 1
+    log_weight = np.log1p(r[keep] ** 2)
+    w = np.asarray(weight_sq, dtype=float)[keep]
+    verdicts = []
+    for a in exponents:
+        sums = np.bincount(shell, weights=np.exp(float(a) * log_weight) * w, minlength=n_shells)
+        fit = sums[-3:]
+        # an empty shell in the fit leaves the slope at 0: inconclusive
+        slope = np.polyfit(np.arange(3), np.log2(fit), 1)[0] if np.all(fit > 0.0) else 0.0
+        if fit[-1] <= 1e-12 * sums.sum() or slope <= -2.0 * TAIL_BAND:
+            verdicts.append("finite")
+        elif slope >= 2.0 * TAIL_BAND:
+            verdicts.append("divergent")
+        else:
+            verdicts.append("inconclusive")
+    return verdicts
+
+
 def apply_fractional_power(c: SpectralField, tau: float) -> SpectralField:
     """Entrywise multiplication by |n|^{2 tau}; tau = 1 is the Laplacian's symbol.
 

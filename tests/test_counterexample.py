@@ -227,6 +227,14 @@ def test_critical_exponent_no_bracket():
         critical_exponent(d, [0.6, 0.7], [10, 100, 1000, 10**4])
 
 
+def test_critical_exponent_skips_inconclusive_points():
+    # a = 1/2 is the threshold itself: inconclusive, so it ends no bracket
+    d = hl_coefficients(10**5)
+    assert critical_exponent(d, [0.4, 0.5, 0.6], DECADES_1E5) == pytest.approx(0.5)
+    with pytest.raises(InconclusiveError):
+        critical_exponent(d, [0.4, 0.5], DECADES_1E5)
+
+
 def test_critical_exponent_needs_decades():
     d = hl_coefficients(10**4)
     with pytest.raises(InconclusiveError):

@@ -245,6 +245,20 @@ def test_gate_monotone_in_exponent():
         assert check_hypothesis(spec, hl, [])  # fails at every exponent
 
 
+def test_strict_gate_accepts_finite_sum_near_threshold():
+    # |c_n| = |n|^-1.5: Sum (1+n^2)^a |c_n|^2 is finite exactly for a < 1
+    entries = {}
+    for n in range(1, 4097):
+        entries[(n,)] = entries[(-n,)] = n**-1.5
+    phi = SpectralField(entries, 4096**2 + 1, dimension=1, real_valued=True)
+    times = np.array([0.0, 1.0])
+    spec = ProblemSpec(dimension=1, rho=0.5, T=1.0, phi=phi, regularity_exponent_a=0.95)
+    assert isinstance(solve(spec, times, 2, 9, strict=True), SolutionField)
+    spec = ProblemSpec(dimension=1, rho=0.5, T=1.0, phi=phi, regularity_exponent_a=1.2)
+    with pytest.raises(RegularityError):
+        solve(spec, times, 2, 9, strict=True)
+
+
 # --- termwise operators ----------------------------------------------------------
 
 

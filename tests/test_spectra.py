@@ -20,7 +20,9 @@ from fracspec.spectra import (
     embedding_constant,
     liouville_norm_sq,
     modes_within,
+    radial_weight_sq,
     synthesize,
+    tail_verdicts,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -157,6 +159,47 @@ def test_liouville_norm_monotone_in_a():
     c = random_field(rng, 2, 9)
     values = [liouville_norm_sq(c, a) for a in (-1.0, 0.0, 0.4, 0.5, 1.0, 2.0)]
     assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
+
+
+def test_radial_weight_sq_folds_equal_radii():
+    f = SpectralField({(0, 0): 5.0, (1, 0): 1.0, (0, -1): 2j, (1, 1): 3.0}, 3, dimension=2)
+    radii, weight_sq = radial_weight_sq(f)
+    assert radii.tolist() == [1.0, math.sqrt(2.0)]
+    assert weight_sq.tolist() == [5.0, 9.0]
+
+
+def power_law_shells(dim, radius, b):
+    """Radii 0 < |n| < radius in Z^dim, with |c_n|^2 = (1+|n|^2)^-b summed per radius."""
+    axis = np.arange(-radius, radius + 1) ** 2
+    norm_sq = sum(np.meshgrid(*([axis] * dim), indexing="ij", sparse=True)).ravel()
+    counts = np.bincount(norm_sq[norm_sq < radius**2])
+    shells = np.flatnonzero(counts)[1:]
+    return np.sqrt(shells), counts[shells] * (1.0 + shells) ** -b
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 4096), (2, 256), (3, 64)])
+@pytest.mark.parametrize("b", [1.0, 2.0])
+def test_tail_verdicts_power_law_families(dim, radius, b):
+    # the weighted sum is finite exactly for a < a* = b - N/2
+    radii, weight_sq = power_law_shells(dim, radius, b)
+    a_star = b - dim / 2.0
+    clear = [-0.3, -0.1, -0.06, 0.06, 0.1, 0.3]
+    near = [-0.05, -0.03, -0.01, 0.01, 0.03, 0.05]
+    got = tail_verdicts(radii, weight_sq, [a_star + d for d in clear + near], radius)
+    assert got[:6] == ["finite"] * 3 + ["divergent"] * 3
+    for d, verdict in zip(near, got[6:]):
+        assert verdict != ("divergent" if d < 0 else "finite"), (d, verdict)
+
+
+def test_tail_verdicts_edge_cases():
+    radii = np.arange(1.0, 64.0)
+    # complete radius 7 holds only the shells [1, 2) and [2, 4)
+    assert tail_verdicts(radii, radii**-2, [5.0], 7) == ["inconclusive"]
+    # an empty shell [16, 32) inside the fit
+    gap = np.where((radii >= 16) & (radii < 32), 0.0, radii**-2)
+    assert tail_verdicts(radii, gap, [5.0], 64) == ["inconclusive"]
+    # a last shell below 1e-12 of the total
+    assert tail_verdicts(radii, np.exp2(-4.0 * radii), [5.0], 64) == ["finite"]
 
 
 def test_fractional_power_basics():
