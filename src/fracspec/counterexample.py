@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, InconclusiveError
 from .mlf import MlfParams, mlf_neg_array
-from .spectra import MultiIndex, SpectralField, radial_weight_sq, require_alias_free
+from .spectra import SpectralField, radial_weight_sq, require_alias_free
 from .spectra import synthesize, tail_verdicts
 
 _EULER_GAMMA = 0.5772156649015329
@@ -36,12 +36,12 @@ class HLDatum:
     def field(self, limit: int | None = None) -> SpectralField:
         """Materialize a SpectralField truncated at |n| <= limit."""
         top = self.k_max if limit is None else min(int(limit), self.k_max)
-        entries = {}
-        for n in range(1, top + 1):
-            val = complex(self.coeffs_pos[n - 1])
-            entries[MultiIndex((n,))] = val
-            entries[MultiIndex((-n,))] = val.conjugate()
-        return SpectralField(entries, top * top + 1, dimension=1, real_valued=True)
+        n = np.arange(1, top + 1)
+        vals = self.coeffs_pos[: n.size]
+        # rows 1, -1, 2, -2, ...: each n followed by its conjugate mirror
+        index = np.column_stack([n, -n]).reshape(-1, 1)
+        values = np.column_stack([vals, vals.conj()]).ravel()
+        return SpectralField.from_arrays(index, values, top * top + 1, real_valued=True)
 
     def moduli(self) -> np.ndarray:
         return np.abs(self.coeffs_pos)

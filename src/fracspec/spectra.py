@@ -11,12 +11,21 @@ Liouville norm is Sum_n (1+|n|^2)^a |c_n|^2 on the coefficients alone, and the
 (2pi)^N Parseval factor relating that sum to the L2 integral is applied
 explicitly where an integral is meant (see embedding_constant).
 
+Storage: a SpectralField holds its coefficients as two arrays in entry order,
+an int64 index matrix (modes x N) and a complex value vector.  analyze,
+synthesize, the radial fold and the Liouville norm work on those arrays
+whole; no per-coefficient object is made.  The mapping view (entries, get,
+items) of MultiIndex keys is built on first use, and a field built from a
+dict keeps that validated dict as its view.  SpectralField.from_arrays builds
+a field straight from the two arrays.
+
 Transforms use the FFT: the grid offset x_j = -pi + 2pi j/M contributes a
 (-1)^{n_1+...+n_N} phase relative to the standard DFT, folded in exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -94,80 +103,198 @@ class DerivMultiIndex:
         return sum(self.alpha)
 
 
-def modes_within(dimension: int, truncation_radius_sq: int) -> list[MultiIndex]:
-    """All n in Z^N with |n|^2 < truncation_radius_sq, lexicographic order."""
-    if dimension < 1:
-        raise DomainError(f"dimension must be >= 1, got {dimension}")
+def _check_radius(truncation_radius_sq, dimension: int) -> int:
+    """k = truncation_radius_sq as an int, at least 1 and small enough that
+    |n|^2 of every row inside the per-axis bound isqrt(k - 1) fits in int64."""
     k = int(truncation_radius_sq)
     if k < 1:
         raise DomainError(f"truncation radius squared must be >= 1, got {k}")
+    if int(dimension) * (k - 1) >= 2**63:
+        raise DomainError(
+            f"truncation radius squared {k} is too large for int64 indices in dimension {dimension}"
+        )
+    return k
+
+
+def _ball(dimension: int, truncation_radius_sq: int) -> np.ndarray:
+    """Rows n in Z^N with |n|^2 < truncation_radius_sq, lexicographic order, int64."""
+    if dimension < 1:
+        raise DomainError(f"dimension must be >= 1, got {dimension}")
+    k = _check_radius(truncation_radius_sq, dimension)
     m = math.isqrt(k - 1)
-    out = []
+    axis = np.arange(-m, m + 1, dtype=np.int64)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    used = np.zeros(1, dtype=np.int64)
+    for _ in range(dimension):
+        # np.nonzero walks prefixes in order and, within one, the new component
+        # in ascending order, so the rows stay lexicographic
+        prefix, comp = np.nonzero(used[:, None] + axis[None, :] ** 2 < k)
+        rows = np.column_stack([rows[prefix], axis[comp]])
+        used = used[prefix] + axis[comp] ** 2
+    return rows
 
-    def rec(prefix, remaining):
-        if len(prefix) == dimension:
-            out.append(MultiIndex(tuple(prefix)))
-            return
-        for c in range(-m, m + 1):
-            if c * c < remaining:
-                rec(prefix + [c], remaining - c * c)
 
-    rec([], k)
-    return out
+def modes_within(dimension: int, truncation_radius_sq: int) -> list[MultiIndex]:
+    """All n in Z^N with |n|^2 < truncation_radius_sq, lexicographic order."""
+    return [MultiIndex(tuple(row)) for row in _ball(dimension, truncation_radius_sq).tolist()]
+
+
+def _norm_sq(index: np.ndarray) -> np.ndarray:
+    """|n|^2 per row of an index matrix, exact in int64 (see _check_ball)."""
+    return np.einsum("ij,ij->i", index, index)
+
+
+def _parity_sign(index: np.ndarray) -> np.ndarray:
+    """(-1)^{n_1+...+n_N} per row: the grid-offset phase of each mode."""
+    return np.where(index.sum(axis=1) % 2, -1.0, 1.0)
+
+
+def _outside_ball(components, k: int) -> DomainError:
+    return DomainError(
+        f"entry {tuple(components)} has |n|^2 = {sum(c * c for c in components)} >= truncation {k}"
+    )
+
+
+def _check_ball(index: np.ndarray, k: int) -> None:
+    """Raise DomainError on the first row with |n|^2 >= k (k from _check_radius).
+
+    The per-axis bound is tested first, so the int64 |n|^2 cannot wrap.
+    """
+    m = math.isqrt(k - 1)
+    outside = np.any((index < -m) | (index > m), axis=1)
+    outside[~outside] = _norm_sq(index[~outside]) >= k
+    if np.any(outside):
+        raise _outside_ball(index[np.flatnonzero(outside)[0]].tolist(), k)
+
+
+def _check_rows(index: np.ndarray, values: np.ndarray, real_valued: bool) -> None:
+    """Raise DomainError on duplicate rows and, for a real-valued field, on an
+    entry whose mirror -n does not hold its conjugate (absent mirrors are 0).
+
+    Rows (and, for a real-valued field, their negations) are sorted together
+    with np.lexsort; equal neighbours are duplicates or mirror pairs.
+    """
+    n = len(index)
+    rows = np.concatenate([index, -index]) if real_valued else index
+    negated = np.arange(len(rows)) >= n
+    # the last key is the primary one; the negated flag breaks ties, so a stored
+    # row sorts before the negated copy equal to it
+    order = np.lexsort((negated,) + tuple(rows.T[::-1]))
+    ranked = rows[order]
+    equal = np.all(ranked[1:] == ranked[:-1], axis=1)
+    first, second = order[:-1][equal], order[1:][equal]
+    twice = second[second < n]
+    if twice.size:
+        raise DomainError(f"entry {tuple(index[twice[0]].tolist())} appears more than once")
+    if not real_valued:
+        return
+    mirror = np.zeros(n, dtype=complex)
+    mirror[second - n] = values[first]  # -index[second - n] == index[first]
+    scale = np.maximum(np.maximum(np.abs(values), np.abs(mirror)), 1e-30)
+    bad = np.flatnonzero(np.abs(mirror - values.conj()) > 1e-12 * scale)
+    if bad.size:
+        raise DomainError(
+            f"field marked real-valued but entry at -{tuple(index[bad[0]].tolist())} "
+            "is not the conjugate of the entry at the index"
+        )
 
 
 class SpectralField:
-    """Finite map of Fourier coefficients with a truncation ball |n|^2 < k."""
+    """Finite map of Fourier coefficients with a truncation ball |n|^2 < k.
 
-    __slots__ = ("dimension", "truncation_radius_sq", "real_valued", "_entries")
+    The coefficients are stored as an int64 index matrix (modes x N) and a
+    complex value vector in entry order; both are read-only.  entries, get
+    and items serve a MultiIndex -> value mapping in the same order, built on
+    first use; a field built from a dict keeps the validated dict as that
+    view.  SpectralField.from_arrays builds a field from the two arrays.
+    """
+
+    __slots__ = (
+        "dimension", "truncation_radius_sq", "real_valued", "_index", "_values", "_view"
+    )
 
     def __init__(self, entries, truncation_radius_sq, dimension=None, real_valued=False):
-        k = int(truncation_radius_sq)
-        if k < 1:
-            raise DomainError(f"truncation radius squared must be >= 1, got {k}")
         norm = {}
         dim = dimension
         for key, val in dict(entries).items():
             idx = as_multi_index(key, dim)
             if dim is None:
                 dim = idx.dimension
-            if idx.norm_sq >= k:
-                raise DomainError(
-                    f"entry {idx.components} has |n|^2 = {idx.norm_sq} >= truncation {k}"
-                )
             norm[idx] = complex(val)
         if dim is None:
             raise DomainError("empty field needs an explicit dimension")
+        k = _check_radius(truncation_radius_sq, dim)
+        comps = itertools.chain.from_iterable([idx.components for idx in norm])
+        try:
+            index = np.fromiter(comps, dtype=np.int64, count=len(norm) * dim)
+        except OverflowError:  # a component past int64 lies outside every ball
+            raise _outside_ball(next(i for i in norm if i.norm_sq >= k).components, k) from None
+        index = index.reshape(len(norm), dim)
+        _check_ball(index, k)
+        values = np.fromiter(norm.values(), dtype=complex, count=len(norm))
         if real_valued:
-            for idx, val in norm.items():
-                mirror = norm.get(-idx, 0j)
-                scale = max(abs(val), abs(mirror), 1e-30)
-                if abs(mirror - val.conjugate()) > 1e-12 * scale:
-                    raise DomainError(
-                        f"field marked real-valued but entry at -{idx.components} "
-                        "is not the conjugate of the entry at the index"
-                    )
-        self.dimension = dim
+            _check_rows(index, values, True)
+        self._store(index, values, k, real_valued, norm)
+
+    @classmethod
+    def from_arrays(cls, index, values, truncation_radius_sq, real_valued=False) -> "SpectralField":
+        """Field with row i of the integer matrix index (modes x N) holding values[i].
+
+        Runs the dict constructor's checks on whole arrays and raises
+        DomainError on bad shapes, a row outside the ball, duplicate rows, or
+        a field marked real-valued whose entries are not Hermitian.
+        """
+        try:
+            index = np.asarray(index).astype(np.int64, casting="safe")
+        except TypeError:
+            raise DomainError("index must be an integer array") from None
+        values = np.array(values, dtype=complex)
+        if index.ndim != 2 or index.shape[1] < 1 or values.shape != (index.shape[0],):
+            raise DomainError(
+                f"need an index of shape (modes, N >= 1) and values of shape (modes,), "
+                f"got {index.shape} and {values.shape}"
+            )
+        k = _check_radius(truncation_radius_sq, index.shape[1])
+        _check_ball(index, k)
+        _check_rows(index, values, bool(real_valued))
+        field = cls.__new__(cls)
+        field._store(index, values, k, real_valued, None)
+        return field
+
+    def _store(self, index, values, k, real_valued, view):
+        index.setflags(write=False)
+        values.setflags(write=False)
+        self.dimension = index.shape[1]
         self.truncation_radius_sq = k
         self.real_valued = bool(real_valued)
-        self._entries = norm
+        self._index = index
+        self._values = values
+        self._view = view
+
+    def _mapping(self) -> dict:
+        if self._view is None:
+            self._view = {
+                MultiIndex(tuple(row)): val
+                for row, val in zip(self._index.tolist(), self._values.tolist())
+            }
+        return self._view
 
     @property
     def entries(self):
-        return MappingProxyType(self._entries)
+        return MappingProxyType(self._mapping())
 
     def get(self, n) -> complex:
-        return self._entries.get(as_multi_index(n, self.dimension), 0j)
+        return self._mapping().get(as_multi_index(n, self.dimension), 0j)
 
     def items(self):
-        return self._entries.items()
+        return self._mapping().items()
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._values)
 
     def coefficient_norm_sq(self) -> float:
         """Plain Sum |c_n|^2 (no Parseval factor)."""
-        return float(sum(abs(v) ** 2 for v in self._entries.values()))
+        return float(sum(abs(v) ** 2 for v in self._values.tolist()))
 
 
 class GridField:
@@ -240,34 +367,37 @@ def analyze(g: GridField, truncation_radius_sq: int) -> SpectralField:
     _check_alias(k, g.points_per_axis)
     m = g.points_per_axis
     fhat = np.fft.fftn(g.samples) / (m**g.dimension)
-    entries = {}
-    for idx in modes_within(g.dimension, k):
-        key = tuple(c % m for c in idx.components)
-        phase = -1.0 if (sum(idx.components) % 2) else 1.0
-        entries[idx] = phase * complex(fhat[key])
+    index = _ball(g.dimension, k)
+    values = _parity_sign(index) * fhat[tuple((index % m).T)]
     real = g.is_real()
     if real:
-        # enforce exact Hermitian symmetry against FFT rounding fuzz
-        sym = {}
-        for idx, val in entries.items():
-            mirror = entries.get(-idx, 0j)
-            sym[idx] = 0.5 * (val + mirror.conjugate())
-        entries = sym
-    return SpectralField(entries, k, dimension=g.dimension, real_valued=real)
+        # enforce exact Hermitian symmetry against FFT rounding fuzz; the ball is
+        # point-symmetric and lexicographic, so row i's mirror is row n-1-i
+        values = 0.5 * (values + values[::-1].conj())
+    return SpectralField.from_arrays(index, values, k, real_valued=real)
+
+
+def _synthesize_rows(index, rows, truncation_radius_sq, points_per_axis) -> np.ndarray:
+    """Samples of Sum_n rows[b, n] e^{i n.x} for each row b, shape (B, M, ..., M).
+
+    index is a field's index matrix and rows a (B x modes) block of values in
+    its entry order; the B grids are synthesized in one batched inverse FFT.
+    """
+    m = int(points_per_axis)
+    if m < 3 or m % 2 == 0:
+        raise DomainError(f"points_per_axis must be odd and >= 3, got {m}")
+    _check_alias(truncation_radius_sq, m)
+    dim = index.shape[1]
+    cube = np.zeros((len(rows),) + (m,) * dim, dtype=complex)
+    cube[(slice(None),) + tuple((index % m).T)] += _parity_sign(index) * rows
+    return np.fft.ifftn(cube, axes=tuple(range(1, dim + 1))) * (m**dim)
 
 
 def synthesize(c: SpectralField, points_per_axis: int) -> GridField:
     """Samples of Sum c_n e^{i n.x} on the uniform grid."""
-    m = int(points_per_axis)
-    if m < 3 or m % 2 == 0:
-        raise DomainError(f"points_per_axis must be odd and >= 3, got {m}")
-    _check_alias(c.truncation_radius_sq, m)
-    cube = np.zeros((m,) * c.dimension, dtype=complex)
-    for idx, val in c.items():
-        key = tuple(comp % m for comp in idx.components)
-        phase = -1.0 if (sum(idx.components) % 2) else 1.0
-        cube[key] += phase * val
-    samples = np.fft.ifftn(cube) * (m**c.dimension)
+    samples = _synthesize_rows(
+        c._index, c._values[None, :], c.truncation_radius_sq, points_per_axis
+    )[0]
     if c.real_valued:
         samples = samples.real.astype(complex)
     return GridField(samples)
@@ -276,10 +406,12 @@ def synthesize(c: SpectralField, points_per_axis: int) -> GridField:
 def liouville_norm_sq(c: SpectralField, a: float) -> float:
     """Sum (1+|n|^2)^a |c_n|^2 over the stored entries."""
     a = float(a)
-    total = 0.0
-    for idx, val in c.items():
-        total += (1.0 + idx.norm_sq) ** a * (val.real**2 + val.imag**2)
-    return total
+    shells, member = np.unique(_norm_sq(c._index), return_inverse=True)
+    # libm pow once per shell: numpy's vectorized pow can differ from it in the last place
+    weight = np.array([(1.0 + s) ** a for s in shells.tolist()])
+    terms = weight[member] * (c._values.real**2 + c._values.imag**2)
+    # a sequential sum in entry order: np.sum's pairwise order would move the last digit
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 # Half-width, in units of a, of the band around the threshold a* inside which
@@ -289,11 +421,10 @@ TAIL_BAND = 0.05
 
 def radial_weight_sq(c: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     """Radii |n| >= 1 in ascending order, each with |c_n|^2 summed over its modes."""
-    norm_sq = np.fromiter((idx.norm_sq for idx in c._entries), dtype=float, count=len(c))
-    vals = np.fromiter(c._entries.values(), dtype=complex, count=len(c))
+    norm_sq = _norm_sq(c._index).astype(float)
     keep = norm_sq > 0.0
     shells, member = np.unique(norm_sq[keep], return_inverse=True)
-    return np.sqrt(shells), np.bincount(member, weights=np.abs(vals[keep]) ** 2)
+    return np.sqrt(shells), np.bincount(member, weights=np.abs(c._values[keep]) ** 2)
 
 
 def tail_verdicts(radii, weight_sq, exponents, complete_radius) -> list:

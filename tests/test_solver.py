@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracspec import mlf
+from fracspec import mlf, solver
 from fracspec.errors import (
     AliasError,
     ConvergenceError,
@@ -516,3 +516,13 @@ def test_solve_workers_match_serial_across_shells():
         p = parallel.modes[idx]
         assert np.array_equal(s.values, p.values)
         assert s.quadrature_error_est == p.quadrature_error_est
+
+
+def test_residual_blocks_match_one_batch(monkeypatch):
+    spec = two_source_spec()
+    times = np.linspace(0.0, 1.0, 9)
+    sol = solve(spec, times, 6, 7, mesh_M=4)
+    whole = residual(sol, spec, dt=1.0 / 8)
+    # 3 grid points per block: every time slice is synthesized in its own block
+    monkeypatch.setattr(solver, "_RESIDUAL_BLOCK_POINTS", 3)
+    assert residual(sol, spec, dt=1.0 / 8) == whole

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracspec import spectra
+from fracspec.counterexample import hl_coefficients, holder_constant
 from fracspec.errors import AliasError, DomainError, HypothesisError, ZeroModeError
 from fracspec.spectra import (
     DerivMultiIndex,
@@ -166,6 +167,141 @@ def test_radial_weight_sq_folds_equal_radii():
     radii, weight_sq = radial_weight_sq(f)
     assert radii.tolist() == [1.0, math.sqrt(2.0)]
     assert weight_sq.tolist() == [5.0, 9.0]
+
+
+# --- array storage against the per-entry loops it replaced -----------------------
+
+
+def loop_analyze(g, k):
+    m = g.points_per_axis
+    fhat = np.fft.fftn(g.samples) / (m**g.dimension)
+    entries = {}
+    for idx in modes_within(g.dimension, k):
+        key = tuple(c % m for c in idx.components)
+        phase = -1.0 if (sum(idx.components) % 2) else 1.0
+        entries[idx] = phase * complex(fhat[key])
+    if g.is_real():
+        sym = {}
+        for idx, val in entries.items():
+            mirror = entries.get(-idx, 0j)
+            sym[idx] = 0.5 * (val + mirror.conjugate())
+        entries = sym
+    return entries
+
+
+def loop_synthesize(c, m):
+    cube = np.zeros((m,) * c.dimension, dtype=complex)
+    for idx, val in c.items():
+        key = tuple(comp % m for comp in idx.components)
+        phase = -1.0 if (sum(idx.components) % 2) else 1.0
+        cube[key] += phase * val
+    samples = np.fft.ifftn(cube) * (m**c.dimension)
+    if c.real_valued:
+        samples = samples.real.astype(complex)
+    return samples
+
+
+def loop_liouville_norm_sq(c, a):
+    total = 0.0
+    for idx, val in c.items():
+        total += (1.0 + idx.norm_sq) ** a * (val.real**2 + val.imag**2)
+    return total
+
+
+def loop_radial_weight_sq(c):
+    norm_sq = np.fromiter((idx.norm_sq for idx, _ in c.items()), dtype=float, count=len(c))
+    vals = np.fromiter((val for _, val in c.items()), dtype=complex, count=len(c))
+    keep = norm_sq > 0.0
+    shells, member = np.unique(norm_sq[keep], return_inverse=True)
+    return np.sqrt(shells), np.bincount(member, weights=np.abs(vals[keep]) ** 2)
+
+
+@pytest.mark.parametrize("dim, k, m", [(1, 26, 11), (2, 20, 11), (3, 10, 9)])
+@pytest.mark.parametrize("real", [False, True])
+def test_array_transforms_match_entry_loops(dim, k, m, real):
+    rng = np.random.default_rng(10 * dim + real)
+    entries = dict(random_field(rng, dim, k, real=real).items())
+    zero = MultiIndex((0,) * dim)
+    entries[zero] = complex(entries[zero].real, -0.0)  # its own mirror: still Hermitian
+    c = SpectralField(entries, k, dimension=dim, real_valued=real)
+    samples = synthesize(c, m).samples
+    assert np.array_equal(samples, loop_synthesize(c, m))
+    g = GridField(samples)
+    back = analyze(g, k)
+    want = loop_analyze(g, k)
+    assert back.real_valued == real and list(back.entries) == list(want)
+    assert np.array_equal(
+        np.array(list(back.entries.values())), np.array(list(want.values()))
+    )
+    for fld in (c, back):
+        for a in (-1.0, 0.3, 0.5, 1.7):
+            assert liouville_norm_sq(fld, a) == loop_liouville_norm_sq(fld, a)
+        for got, ref in zip(radial_weight_sq(fld), loop_radial_weight_sq(fld)):
+            assert np.array_equal(got, ref)
+
+
+def test_array_paths_build_no_multi_index(monkeypatch):
+    built = []
+    post_init = MultiIndex.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    grid = GridField(np.random.default_rng(400).standard_normal((41, 41, 41)))
+    monkeypatch.setattr(MultiIndex, "__post_init__", counting_post_init)
+    c = analyze(grid, 400)
+    synthesize(c, 41)
+    radial_weight_sq(c)
+    liouville_norm_sq(c, 1.5)
+    hl = hl_coefficients(2**10).field()
+    holder_constant(hl, 2 * 2**10 + 3, 0.5)
+    assert len(built) == 0
+    assert len(c) == len(modes_within(3, 400)) == 33371 and len(hl) == 2**11
+
+
+def test_from_arrays_rejects_bad_input():
+    index = np.array([[0, 0], [1, 0], [-1, 0]])
+    values = np.array([1.0, 2.0 + 1j, 2.0 - 1j])
+    assert len(SpectralField.from_arrays(index, values, 2, real_valued=True)) == 3
+    with pytest.raises(DomainError, match="truncation"):
+        SpectralField.from_arrays([[1, 1]], [1.0], 2)  # |n|^2 = 2 is not < 2
+    with pytest.raises(DomainError, match="truncation"):
+        SpectralField.from_arrays([[2**62, 2**62, 2**62]], [1.0], 10)  # |n|^2 past int64
+    with pytest.raises(DomainError, match="conjugate"):
+        SpectralField.from_arrays(index, [1.0, 2.0 + 1j, 2.0 + 1j], 2, real_valued=True)
+    with pytest.raises(DomainError, match="conjugate"):
+        SpectralField.from_arrays(index[:2], values[:2], 2, real_valued=True)  # no mirror
+    with pytest.raises(DomainError, match="more than once"):
+        SpectralField.from_arrays([[1, 0], [0, 0], [1, 0]], [1.0, 2.0, 3.0], 2)
+    bad_shapes = [
+        (np.array([0, 1]), [1.0, 2.0]),  # index is not a matrix
+        (index, values[:2]),  # one value short
+        (np.zeros((1, 0), dtype=int), [1.0]),  # no components
+        (index.astype(float), values),  # not integers
+    ]
+    for bad_index, bad_values in bad_shapes:
+        with pytest.raises(DomainError):
+            SpectralField.from_arrays(bad_index, bad_values, 2)
+    # mirrors are matched row by row, never through one packed integer key
+    big = np.array([[10**6, -(10**6), 5], [-(10**6), 10**6, -5]])
+    fld = SpectralField.from_arrays(big, [1j, -1j], 2 * 10**12 + 26, real_valued=True)
+    assert fld.get((-(10**6), 10**6, -5)) == -1j
+
+
+def test_from_arrays_matches_dict_field():
+    rng = np.random.default_rng(21)
+    modes = modes_within(2, 10)
+    index = np.array([modes[i].components for i in rng.permutation(len(modes))])
+    values = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
+    arr = SpectralField.from_arrays(index, values, 10)
+    assert [idx.components for idx, _ in arr.items()] == [tuple(r) for r in index.tolist()]
+    assert [val for _, val in arr.items()] == values.tolist()
+    dct = SpectralField(dict(zip(map(tuple, index.tolist()), values)), 10, dimension=2)
+    assert len(arr) == len(dct) == len(modes)
+    for idx in modes_within(2, 17):  # reaches past the ball, where both give 0
+        assert arr.get(idx) == dct.get(idx)
+    assert np.array_equal(synthesize(arr, 9).samples, synthesize(dct, 9).samples)
 
 
 def power_law_shells(dim, radius, b):
