@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -294,6 +293,8 @@ def solve(
     ]
 
     if workers is not None and workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=int(workers)) as pool:
             results = list(
                 pool.map(_shell_task, tasks,

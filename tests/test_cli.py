@@ -4,10 +4,14 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracspec
 from fracspec.cli import main
 from fracspec.counterexample import hl_coefficients
 
@@ -58,6 +62,34 @@ def test_mlf_writes_file(tmp_path, capsys):
     table = (tmp_path / "mlf.csv").read_text()
     assert table == capsys.readouterr().out
     assert len(table.strip().split("\n")) == 3
+
+
+# what a cold `python -m fracspec.cli ...` process may leave out of sys.modules
+_HEAVY_PROBE = """
+import runpy, sys
+sys.argv = ["fracspec", *sys.argv[1:]]
+import fracspec.cli
+if len(sys.argv) > 1:
+    try:
+        runpy.run_module("fracspec.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+print("loaded:" + ",".join(m for m in ("mpmath", "scipy", "concurrent.futures.process") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("argv", [[], ["mlf", "0.5", "1.0", "0.3", "2", "9", "60"]])
+def test_cold_cli_leaves_heavy_modules_unloaded(tmp_path, argv):
+    # mpmath is only the MLF escalation valve and the process pool only serves
+    # workers > 1, so neither is imported by an ordinary run
+    src = str(Path(fracspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", _HEAVY_PROBE, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip("\n").split("\n")[-1] == "loaded:"
 
 
 def test_mlf_invalid_parameters(capsys):

@@ -148,9 +148,11 @@ def test_certified_error_bound_holds(rho, mu_kind):
 
 
 def test_branch_routing_by_hardness():
-    # s = t**2 for rho = 1/2: t=2 -> s=4 (series), t=3 -> s=9 (gap), t=7 -> s=49 (asym)
+    # mu >= 0.45: series for t <= 0.5, the Chebyshev model up to s = t**(1/rho) = 36,
+    # asymptotic beyond; for rho = 1/2, t=7 -> s=49
     params = mlf.MlfParams(0.5, 1.0)
-    assert mlf.mlf_neg(params, 2.0).branch is mlf.Branch.SERIES
+    assert mlf.mlf_neg(params, 0.3).branch is mlf.Branch.SERIES
+    assert mlf.mlf_neg(params, 2.0).branch is mlf.Branch.EXTENDED_PRECISION
     assert mlf.mlf_neg(params, 3.0).branch is mlf.Branch.EXTENDED_PRECISION
     assert mlf.mlf_neg(params, 7.0).branch is mlf.Branch.ASYMPTOTIC
 
@@ -166,18 +168,45 @@ def test_array_interface_matches_scalar():
         assert mlf.branch_from_code(codes[i]) is rep.branch
 
 
-def test_cheb_build_computes_each_mp_gamma_once(monkeypatch):
-    # one build shares a table of Gamma(rho k + mu) across every node and probe
-    args = []
+def test_cheb_build_uses_no_mpmath(monkeypatch):
+    # the gap-zone model comes from a double-precision integral; mpmath is
+    # only the escalation valve
+    def forbidden(*args):
+        raise AssertionError("extended precision reached from a Chebyshev build")
 
-    def counting_gamma(x):
-        args.append(x)
-        return mpmath.gamma(x)
+    monkeypatch.setattr(mlf, "_mp_value", forbidden)
+    for rho, mu in ((0.1, 1.0), (0.3, 0.3), (0.5, 1.0), (0.99, 1.0)):
+        model = mlf._cheb_build(rho, mu)
+        assert model.cert <= 1e-12, (rho, mu, model.cert)
 
-    monkeypatch.setattr(mlf, "_mp_gamma", counting_gamma)
-    mlf._cheb_build(0.5, 1.0)
-    assert args
-    assert len(args) == len(set(args))
+
+@pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.75, 0.9, 0.99])
+@pytest.mark.parametrize("mu_kind", ["one", "rho"])
+def test_model_zone_error_within_estimate(rho, mu_kind):
+    # the widened model zone t in [0.5, 36**rho] (series below s = 3 for mu < 0.45)
+    mu = 1.0 if mu_kind == "one" else rho
+    rng = np.random.default_rng(20 + int(100 * rho))
+    ts = rng.uniform(0.5, 36.0**rho, 40)
+    vals, ests, _ = mlf.mlf_neg_array(mlf.MlfParams(rho, mu), ts)
+    for t, val, est in zip(ts, vals, ests):
+        ref = mlf_reference(rho, mu, float(t))
+        err = abs(val - ref) / abs(ref)
+        assert err <= est, (rho, mu, t, err, est)
+        assert err <= 1e-12, (rho, mu, t, err)
+
+
+def test_model_near_rho_one_keeps_series_zone():
+    # the widest model cannot certify 1e-12 this close to rho = 1, so the
+    # build falls back to the zone s in (5, 36) and the series keeps s <= 5
+    rho = 0.9999
+    params = mlf.MlfParams(rho, 1.0)
+    assert mlf.mlf_neg(params, 2.0).branch is mlf.Branch.SERIES
+    for t in (5.5**rho, 9.0, 20.0, 35.0):
+        rep = mlf.mlf_neg(params, t)
+        assert rep.branch is mlf.Branch.EXTENDED_PRECISION
+        assert rep.est_rel_error <= 1e-12
+        ref = mlf_reference(rho, 1.0, t)
+        assert abs(rep.value - ref) <= rep.est_rel_error * abs(ref), t
 
 
 def test_domain_errors():

@@ -13,6 +13,7 @@ Closed-form anchors used below (independent of any implementation detail):
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -322,6 +323,65 @@ def test_solve_mode_transfer_bound():
             sol = solve_mode(rho, lam, 1.0, TimeProfile.zero(), times, GradedMesh(2.0, 4, 1.0))
             ratio = np.abs(sol.values) * (1.0 + lam * times**rho)
             assert np.max(ratio) < 3.0
+
+
+def forced_reference(rho, lam, coeffs, ts):
+    """Exact zero-data mode values for the source sum_j a_j t^j, in mpmath.
+
+    w(t) = sum_j a_j j! t^(rho+j) E_{rho,rho+j+1}(-lam t^rho), each E summed as
+    sum_k (-z)^k / Gamma(rho k + b) at a precision that covers its cancellation
+    (about 0.43 s digits for s = lam^(1/rho) t).  Shares no code with fracspec.
+    """
+    s_max = max(lam ** (1.0 / rho) * t for t in ts)
+    out = []
+    with mpmath.workdps(int(0.4343 * s_max) + 30):
+        r = mpmath.mpf(rho)
+        tiny = mpmath.mpf(10) ** -30
+        table = {}
+
+        def rgamma(m, j):
+            # 1/Gamma(r m + 1 + j), from 1/Gamma(r m + 1) by the recurrence
+            if (m, j) not in table:
+                table[m, j] = mpmath.rgamma(r * m + 1) if j == 0 else rgamma(m, j - 1) / (r * m + j)
+            return table[m, j]
+
+        for t in ts:
+            tt = mpmath.mpf(t)
+            z = lam * tt**r
+            s = lam ** (1.0 / rho) * t
+            total = mpmath.mpf(0)
+            for j, a in enumerate(coeffs):
+                e = mpmath.mpf(0)
+                power = mpmath.mpf(1)
+                k = 0
+                small_run = 0
+                # the terms peak near rho k + b = s, then fall off faster than geometrically
+                while small_run < 2:
+                    term = power * rgamma(k + 1, j)
+                    e += term
+                    past_peak = rho * (k + 1) + j + 1 > s + 2.0
+                    small_run = small_run + 1 if past_peak and abs(term) < tiny else 0
+                    power *= -z
+                    k += 1
+                total += a * math.factorial(j) * tt ** (r + j) * e
+            out.append(float(total))
+    return np.array(out)
+
+
+def test_quadrature_estimate_bounds_true_error():
+    # the mesh-doubling certificate must dominate the true convolution error;
+    # points are drawn where the reference stays affordable (s <= 100)
+    coeffs = (1.0, -0.5, 0.25)
+    rng = np.random.default_rng(4)
+    for rho in (0.2, 0.5, 0.7, 0.9, 0.99):
+        for lam in (1.0, 4.0, 25.0, 100.0):
+            ts = min(1.0, 100.0 / lam ** (1.0 / rho)) * np.sort(rng.uniform(0.0, 1.0, 3))
+            ref = forced_reference(rho, lam, coeffs, ts)
+            for m0 in (16, 64):
+                mesh = GradedMesh(1.0, m0, default_grading(rho))
+                sol = solve_mode(rho, lam, 0.0, TimeProfile.polynomial(coeffs), ts, mesh)
+                err = float(np.max(np.abs(sol.values - ref)))
+                assert err <= sol.quadrature_error_est, (rho, lam, m0, err, sol.quadrature_error_est)
 
 
 def test_solve_mode_validation():
