@@ -303,7 +303,7 @@ def cmd_solve(args) -> int:
         "hypothesis_failures": failures,
         "hypothesis_ok": not failures,
         "max_quadrature_error": sol.max_quadrature_error,
-        "n_modes_solved": len(sol.mode_solutions),
+        "n_modes_solved": len(sol.lam),
         "real_valued": sol.real_valued,
         "tail_indicator": tail,
     }

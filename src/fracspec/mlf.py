@@ -622,10 +622,11 @@ def mlf_kernel_array(rho: float, lam: float, xi) -> np.ndarray:
     return xi ** (rho - 1.0) * v.reshape(xi.shape)
 
 
-def _check_kernel_params(rho: float, lam: float) -> None:
+def _check_kernel_params(rho: float, lam) -> None:
     if not (0.0 < rho <= 1.0) or not math.isfinite(rho):
         raise DomainError(f"rho must lie in (0, 1], got {rho}")
-    if not (lam >= 0.0) or not math.isfinite(lam):
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(lam >= 0.0) or not np.all(np.isfinite(lam)):
         raise DomainError(f"lambda must be finite and nonnegative, got {lam}")
 
 
@@ -650,27 +651,33 @@ def _one_minus_mlf_small(rho: float, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernel_cumulative(rho: float, lam: float, x) -> np.ndarray:
+def kernel_cumulative(rho: float, lam, x) -> np.ndarray:
     """Integral of the kernel from 0 to x, elementwise: mlf_kernel_primitive(rho, lam, 0, x).
 
     Equals x^rho / Gamma(1+rho) for lam = 0 and (1 - E_{rho,1}(-lam x^rho))/lam
-    otherwise, with a series path where the difference would cancel.
+    otherwise, with a series path where the difference would cancel.  lam may
+    be an array that broadcasts against x, one eigenvalue per element; the
+    result has the broadcast shape, and each element is what a call with its
+    own scalar lam gives.
     """
     _check_kernel_params(rho, lam)
+    lam = np.asarray(lam, dtype=float)
     x = np.asarray(x, dtype=float)
     if x.size and (np.any(x < 0.0) or not np.all(np.isfinite(x))):
         raise DomainError("x must be finite and nonnegative")
-    if lam == 0.0:
-        return x**rho * float(gammafn.rgamma(1.0 + rho))
-    y = lam * x**rho
+    lam, x = np.broadcast_arrays(lam, x)
     out = np.empty(x.shape, dtype=float)
-    small = y <= 0.5
+    flat = lam == 0.0
+    if flat.any():
+        out[flat] = x[flat] ** rho * float(gammafn.rgamma(1.0 + rho))
+    y = lam * x**rho
+    small = ~flat & (y <= 0.5)
     if small.any():
-        out[small] = _one_minus_mlf_small(rho, y[small]) / lam
-    big = ~small
+        out[small] = _one_minus_mlf_small(rho, y[small]) / lam[small]
+    big = ~(flat | small)
     if big.any():
         v, _, _ = _eval_many(rho, 1.0, y[big])
-        out[big] = (1.0 - v) / lam
+        out[big] = (1.0 - v) / lam[big]
     return out
 
 

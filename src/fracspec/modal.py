@@ -12,9 +12,14 @@ singular end; accuracy is certified by mesh doubling, not by an a priori
 estimate.
 
 The homogeneous factor and the kernel moments depend on lam but not on the
-mode, so solve_shell does that work once for all modes on one eigenvalue
-shell lam = |n|^2; only the weighting by each mode's f and the refinement
-decision are per mode.  solve_mode is its one-member case.
+mode, and the source is separable, f_n(t) = sum_i g_i[n] q_i(t), so the
+convolution of each q_i is needed once per eigenvalue shell lam = |n|^2.
+solve_shells solves the modes of every shell together: one Mittag-Leffler
+call for the homogeneous factor; on each mesh level the new kernel points of
+all shells still refining, in blocks that span shells (the previous level's
+nodes are reused); each q_i evaluated at the lags once per batch of shells,
+not per mode; and a mode's convolution formed as sum_i g_i[n] C_i(lam, t).
+Only the refinement decision is per mode.  solve_mode is its one-mode case.
 
 The L1 differentiator closes the loop: residuals of the computed w under the
 discrete Caputo operator verify the equation itself.
@@ -192,7 +197,13 @@ def default_grading(rho: float) -> float:
 
 @dataclass(frozen=True)
 class ModeSolution:
-    """One mode's trajectory with its quadrature self-certification."""
+    """One mode's trajectory with its quadrature self-certification.
+
+    quadrature_error_est is the discrepancy between the convolution on the
+    last two mesh levels, so it bounds the mesh discrepancy only: it carries
+    neither the Mittag-Leffler evaluator's own error nor the rounding of the
+    values, and near t = 0 it can sit below one ulp of max|w|.
+    """
 
     lam: float
     phi_n: complex
@@ -201,135 +212,174 @@ class ModeSolution:
     quadrature_error_est: float
 
 
-def _moment_chunks(rho, lam, times, mesh):
-    """Kernel mass per subinterval, one chunk of evaluation times at a time.
+# New kernel points per mlf.kernel_cumulative call.  Every shell's (time,
+# node) pairs are flattened together, so one call serves many shells, and a
+# shell whose times x new nodes exceed the block has its times split.
+_KERNEL_BLOCK_POINTS = 32_768
 
-    The mesh's fractional layout is rescaled to [0, t] per evaluation time;
-    the mass of each subinterval comes from differences of the running kernel
-    integral.  Yields (slice of times, those times, moments).  The moments
-    depend on (rho, lam, times, mesh) only, never on the source, and each
-    chunk holds about 4e6 of them.
+
+def _kernel_level(rho, lam, times, mesh, profiles, coarse=None):
+    """Running kernel integral and profile convolutions of every shell on one mesh.
+
+    lam holds one eigenvalue per shell.  Returns (cum, conv): cum[s, j] is the
+    kernel integral from 0 to times[j] * f at each node fraction f of the
+    mesh, and conv[s, i, j] the product-integration convolution of
+    profiles[i] with shell s's kernel at times[j].  The mesh's fractional
+    layout is rescaled to [0, t] per time: the kernel mass of a subinterval
+    is a difference of cum, and the profile is frozen at its midpoint (in
+    the kernel variable).  Each profile is evaluated once per block of
+    times, for all shells.
+
+    coarse, when given, is cum on the mesh with half as many subintervals.
+    Its nodes are this mesh's even nodes bit for bit, so only the odd nodes
+    are evaluated.
     """
-    fr_nodes = mesh.node_fractions()
-    chunk = max(1, int(4_000_000 // (mesh.M + 1)))
-    for start in range(0, times.size, chunk):
-        ts = times[start : start + chunk]
-        x = ts[:, None] * fr_nodes[None, :]
-        cum = mlf.kernel_cumulative(rho, lam, x.ravel()).reshape(x.shape)
-        yield slice(start, start + chunk), ts, np.diff(cum, axis=1)
+    fractions = mesh.node_fractions()
+    cum = np.empty((lam.size, times.size, mesh.M + 1))
+    if coarse is None:
+        cum[..., 0] = 0.0  # the integral over [0, 0]
+        new = slice(1, None)
+    else:
+        cum[..., ::2] = coarse
+        new = slice(1, None, 2)
+    target, fr_new = cum[..., new], fractions[new]
+    pairs = lam.size * times.size
+    rows = max(1, _KERNEL_BLOCK_POINTS // fr_new.size)
+    for start in range(0, pairs, rows):
+        s, j = np.divmod(np.arange(start, min(start + rows, pairs)), times.size)
+        target[s, j] = mlf.kernel_cumulative(rho, lam[s, None], times[j, None] * fr_new)
 
-
-def _convolve_many(rho, lam, profiles, times, mesh) -> list:
-    """Product-integration convolution of each profile at each positive time.
-
-    Every chunk of kernel moments is computed once and weighted by each
-    profile sampled at the subinterval midpoints (in the kernel variable).
-    """
-    times = np.asarray(times, dtype=float)
-    outs = [np.zeros(times.shape, dtype=complex) for _ in profiles]
-    if not outs:
-        return outs
-    fr_mid = mesh.midpoint_fractions()
-    for part, ts, moments in _moment_chunks(rho, lam, times, mesh):
-        lags = ts[:, None] * (1.0 - fr_mid)[None, :]
-        for out, f_n in zip(outs, profiles):
-            fvals = np.asarray(f_n(lags), dtype=complex)
-            out[part] = np.sum(moments * fvals, axis=1)
-    return outs
+    conv = np.empty((lam.size, len(profiles), times.size), dtype=complex)
+    lag_fractions = 1.0 - mesh.midpoint_fractions()
+    rows = max(1, _KERNEL_BLOCK_POINTS // mesh.M)
+    for start in range(0, times.size, rows):
+        part = slice(start, start + rows)
+        lags = times[part, None] * lag_fractions
+        q = np.array([np.asarray(p(lags), dtype=complex) for p in profiles])
+        for s in range(lam.size):
+            conv[s, :, part] = np.sum(np.diff(cum[s, part], axis=1) * q, axis=-1)
+    return cum, conv
 
 
 def convolve_kernel(rho: float, lam: float, f_n: TimeProfile, t: float, mesh: GradedMesh) -> complex:
-    """Integral of f_n(t-xi) xi^{rho-1} E_{rho,rho}(-lam xi^rho) over [0, t]."""
+    """Integral of f_n(t-xi) xi^{rho-1} E_{rho,rho}(-lam xi^rho) over [0, t], on mesh alone."""
     _check_mode_params(rho, lam)
     if not (0.0 < t <= mesh.T * (1.0 + 1e-12)):
         raise DomainError(f"need 0 < t <= mesh.T = {mesh.T}, got t = {t}")
-    return complex(_convolve_many(rho, lam, [f_n], np.array([t]), mesh)[0][0])
+    _, conv = _kernel_level(rho, np.array([float(lam)]), np.array([float(t)]), mesh, [f_n])
+    return complex(conv[0, 0, 0])
 
 
-def _check_mode_params(rho: float, lam: float) -> None:
+def _check_mode_params(rho: float, lam) -> None:
     if not (0.0 < rho <= 1.0) or not math.isfinite(rho):
         raise DomainError(f"rho must lie in (0, 1], got {rho}")
-    if not (lam >= 0.0) or not math.isfinite(lam):
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(lam >= 0.0) or not np.all(np.isfinite(lam)):
         raise DomainError(f"eigenvalue must be finite and nonnegative, got {lam}")
 
 
-def solve_shell(
+def solve_shells(
     rho: float,
-    lam: float,
-    members,
+    lam,
+    phi,
+    weights,
+    profiles,
     times,
     mesh: GradedMesh,
     tolerance: float | None = None,
-) -> list:
-    """Trajectories of all modes sharing the eigenvalue lam, one per member.
+):
+    """Trajectories of many modes at once, the work shared per eigenvalue shell.
 
-    members is a sequence of (phi_n, f_n) pairs.  E_{rho,1}(-lam t^rho) is
-    evaluated once for the shell, and each mesh level's kernel moments once
-    for every member still refining on it.  Each member follows the
-    solve_mode rule on its own: its quadrature_error_est is the discrepancy
-    between the first pair of consecutive levels that agree within the
-    tolerance, and a member still above it at the ceiling raises
-    ConvergenceError.
+    Mode m has eigenvalue lam[m], initial value phi[m] and source
+    f_m(t) = sum_i weights[m, i] profiles[i](t), so its trajectory is
+    w_m(t) = phi[m] E_{rho,1}(-lam[m] t^rho) + sum_i weights[m, i] C_i(lam[m], t)
+    with C_i the kernel convolution of profiles[i].  Modes with equal lam
+    form a shell.  E_{rho,1} is evaluated for every (shell, time) pair in one
+    call; on each mesh level the kernel and the C_i are computed once for
+    every shell that still has a member refining.
+
+    Each mode follows the solve_mode rule on its own: the mesh is doubled
+    until max_t |w_fine - w_coarse| over its own convolution is within the
+    tolerance, that discrepancy is its quadrature_error_est, and a mode
+    still above it at the ceiling raises ConvergenceError.  A shell's
+    results do not depend on which other shells are solved with it.
+
+    Returns (values, quadrature_error_est): a (modes x times) complex array
+    and a (modes,) float array.
     """
+    lam = np.asarray(lam, dtype=float)
     _check_mode_params(rho, lam)
-    times_arr = np.asarray(times, dtype=float)
-    if times_arr.ndim != 1 or times_arr.size == 0:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
         raise DomainError("times must be a nonempty 1-d sequence")
-    if np.any(np.diff(times_arr) < 0.0):
+    if np.any(np.diff(times) < 0.0):
         raise DomainError("times must be sorted ascending")
-    if times_arr[0] < 0.0 or times_arr[-1] > mesh.T * (1.0 + 1e-12):
+    if times[0] < 0.0 or times[-1] > mesh.T * (1.0 + 1e-12):
         raise DomainError(f"times must lie in [0, {mesh.T}]")
     if tolerance is None:
         tolerance = 1e-8 if rho == 1.0 else 1e-6
-    members = [(complex(phi_n), f_n) for phi_n, f_n in members]
+    phi = np.asarray(phi, dtype=complex)
+    # a zero profile contributes nothing, as in TimeProfile.weighted_sum
+    live = [i for i, p in enumerate(profiles) if not p.is_zero]
+    weights = np.asarray(weights, dtype=complex).reshape(lam.size, len(profiles))[:, live]
+    profiles = [profiles[i] for i in live]
 
-    homog, _, _ = mlf.mlf_neg_array(mlf.MlfParams(rho, 1.0), lam * times_arr**rho)
-    homog = homog.astype(complex)
-    values = [phi_n * homog for phi_n, _ in members]
-    ests = [0.0] * len(members)
+    shell_lam, shell_of = np.unique(lam, return_inverse=True)
+    homog, _, _ = mlf.mlf_neg_array(mlf.MlfParams(rho, 1.0), shell_lam[:, None] * times**rho)
+    values = phi[:, None] * homog[shell_of]
+    est = np.zeros(lam.size)
 
-    pos = times_arr > 0.0
-    t_pos = times_arr[pos]
-    active = [
-        i for i, (_, f_n) in enumerate(members) if f_n is not None and not f_n.is_zero
-    ]
+    pos = np.flatnonzero(times > 0.0)
+    t_pos = times[pos]
+    # the modes with a convolution to refine, grouped by shell
+    active = np.any(weights != 0.0, axis=1) & (pos.size > 0)
+    order = np.argsort(shell_of, kind="stable")
+    order = order[active[order]]
+    shells, starts = np.unique(shell_of[order], return_index=True)
+    members = np.split(order, starts[1:]) if order.size else []
     current = mesh
-    coarse = _convolve_many(rho, lam, [members[i][1] for i in active], t_pos, current)
-    while active:
+    if members:
+        cum, conv = _kernel_level(rho, shell_lam[shells], t_pos, current, profiles)
+        coarse = [weights[m] @ c for m, c in zip(members, conv)]
+    while members:
         refined = current.doubled()
-        fine = _convolve_many(rho, lam, [members[i][1] for i in active], t_pos, refined)
-        still, still_fine = [], []
-        for i, c, f in zip(active, coarse, fine):
-            est = float(np.max(np.abs(f - c))) if c.size else 0.0
-            ests[i] = est
-            if est <= tolerance:
-                values[i][pos] += f
-                continue
-            if refined.M >= _M_CAP:
-                raise ConvergenceError(
-                    f"mesh doubling up to M={refined.M} leaves quadrature "
-                    f"discrepancy {est:.3e} above tolerance {tolerance:.1e}"
-                )
-            still.append(i)
-            still_fine.append(f)
-        active, coarse, current = still, still_fine, refined
-
-    times_t = tuple(float(t) for t in times_arr)
-    out = []
-    for (phi_n, _), v, est in zip(members, values, ests):
-        # exact initial value, by definition rather than by quadrature
-        v[times_arr == 0.0] = phi_n
-        v.setflags(write=False)
-        out.append(
-            ModeSolution(
-                lam=float(lam),
-                phi_n=phi_n,
-                times=times_t,
-                values=v,
-                quadrature_error_est=est,
+        # a level is refined a few shells at a time, about one kernel block of
+        # new nodes each, so only the fine nodes of shells still refining are
+        # held beside the coarse level
+        step = max(1, _KERNEL_BLOCK_POINTS // (t_pos.size * current.M))
+        keep, kept_cum = [], []
+        for start in range(0, len(members), step):
+            part = slice(start, start + step)
+            fine_cum, conv = _kernel_level(
+                rho, shell_lam[shells[part]], t_pos, refined, profiles, cum[part]
             )
-        )
-    return out
+            still = []
+            for j, c in enumerate(conv):
+                m = members[start + j]
+                fine = weights[m] @ c
+                err = np.max(np.abs(fine - coarse[start + j]), axis=1)
+                est[m] = err
+                done = err <= tolerance
+                values[np.ix_(m[done], pos)] += fine[done]
+                if done.all():
+                    continue
+                if refined.M >= _M_CAP:
+                    raise ConvergenceError(
+                        f"mesh doubling up to M={refined.M} leaves quadrature "
+                        f"discrepancy {err[~done][0]:.3e} above tolerance {tolerance:.1e}"
+                    )
+                members[start + j], coarse[start + j] = m[~done], fine[~done]
+                still.append(j)
+            keep += [start + j for j in still]
+            kept_cum.append(fine_cum[still])
+        shells, cum = shells[keep], np.concatenate(kept_cum)
+        members = [members[s] for s in keep]
+        coarse = [coarse[s] for s in keep]
+        current = refined
+
+    # exact initial value, by definition rather than by quadrature
+    values[:, times == 0.0] = phi[:, None]
+    return values, est
 
 
 def solve_mode(
@@ -346,10 +396,23 @@ def solve_mode(
     The convolution runs on the mesh and on its doubling; the maximum
     discrepancy is reported as quadrature_error_est.  If it exceeds the
     tolerance (default 1e-8 in the classical limit rho = 1, 1e-6 otherwise),
-    the mesh is doubled again, up to a ceiling, before giving up.  This is
-    the one-member case of solve_shell.
+    the mesh is doubled again, up to a ceiling, before giving up.  The
+    estimate bounds the mesh discrepancy only, not the Mittag-Leffler error
+    or the rounding of the values.  This is the one-mode, one-profile case
+    of solve_shells.
     """
-    return solve_shell(rho, lam, [(phi_n, f_n)], times, mesh, tolerance)[0]
+    profiles = [] if f_n is None else [f_n]
+    values, est = solve_shells(
+        rho, [lam], [phi_n], [[1.0] * len(profiles)], profiles, times, mesh, tolerance
+    )
+    values.setflags(write=False)
+    return ModeSolution(
+        lam=float(lam),
+        phi_n=complex(phi_n),
+        times=tuple(float(t) for t in np.asarray(times, dtype=float)),
+        values=values[0],
+        quadrature_error_est=float(est[0]),
+    )
 
 
 # --- L1 discrete differentiators ---------------------------------------------

@@ -1,13 +1,16 @@
-"""Field-level driver: truncation, per-shell solves, termwise operators, residuals.
+"""Field-level driver: truncation, the shell solve, termwise operators, residuals.
 
 The field u(x, t) = sum over retained modes of w_n(t) e^{i n.x} is assembled
-from scalar mode problems (lam = |n|^2).  Modes with equal |n|^2 form one
-eigenvalue shell and are solved together, sharing the Mittag-Leffler values
-and kernel moments, which depend on lam alone.  Everything downstream of
-the mode solves is linear bookkeeping: applying the spatial operator multiplies
-a mode history by |n|^2, the fractional time derivative acts per mode through
-the L1 scheme, and residuals are synthesized back onto the grid, every time
-slice of a block in one batched inverse FFT.
+from scalar mode problems (lam = |n|^2).  solve gathers the modes with
+nonzero data from the truncated fields' index arrays and hands them all to
+modal.solve_shells, which shares the Mittag-Leffler values, kernel moments
+and source convolutions within each eigenvalue shell.  A SolutionField
+stores the result as arrays (index matrix, values matrix, per-mode vectors),
+and everything downstream works on them without a per-mode object: applying
+the spatial operator multiplies a mode history by |n|^2, the fractional time
+derivative acts per mode through the L1 scheme, and residuals are
+synthesized back onto the grid, every time slice of a block in one batched
+inverse FFT.
 
 Two diagnostics frame the truncation: a regularity gate on the claimed
 smoothness exponent (advisory by default, enforced in strict mode), which
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -32,7 +35,7 @@ from .modal import (
     TimeProfile,
     caputo_l1,
     default_grading,
-    solve_shell,
+    solve_shells,
 )
 from .spectra import (
     GridField,
@@ -41,7 +44,7 @@ from .spectra import (
     _norm_sq,
     _synthesize_rows,
     analyze,
-    modes_within,
+    as_multi_index,
     radial_weight_sq,
     require_alias_free,
     synthesize,
@@ -153,6 +156,26 @@ def _truncate(c: SpectralField, truncation_radius_sq: int) -> SpectralField:
     )
 
 
+def _coefficient_table(fields, dimension: int, rows=None):
+    """Each field's coefficients on a common set of rows, 0 where a field has none.
+
+    The rows are the given (distinct) index matrix, or else every row held
+    by any of the fields, in modes_within (lexicographic) order.  Returns
+    (rows, table) with table[f, r] the coefficient of field f on row r.
+    """
+    given = np.zeros((0, dimension), dtype=np.int64) if rows is None else rows
+    stacked = np.concatenate([given] + [f._index for f in fields]).reshape(-1, dimension)
+    union, where = np.unique(stacked, axis=0, return_inverse=True)
+    table = np.zeros((len(fields), len(union)), dtype=complex)
+    start = len(given)
+    for row, f in zip(table, fields):
+        row[where[start : start + len(f)]] = f._values
+        start += len(f)
+    if rows is None:
+        return union, table
+    return rows, table[:, where[: len(rows)]]
+
+
 # --- regularity gate ------------------------------------------------------------
 
 
@@ -183,7 +206,15 @@ def check_hypothesis(spec: ProblemSpec, phi_full: SpectralField, sources_full) -
 
 @dataclass(frozen=True)
 class SolutionField:
-    """Per-mode trajectories plus enough metadata to render and verify."""
+    """Mode trajectories as arrays, plus enough metadata to render and verify.
+
+    Row i of the int64 index matrix (modes x N) is mode n_i, in modes_within
+    (lexicographic) order.  values[i] is its trajectory at times, phi[i] its
+    initial coefficient, lam[i] = |n_i|^2, and quadrature_error_est[i] the
+    mesh discrepancy of its convolution.  The arrays are read-only.
+    mode_solutions, and its alias modes, is a read-only MultiIndex ->
+    ModeSolution view in the same order, built on first use.
+    """
 
     dimension: int
     rho: float
@@ -193,19 +224,43 @@ class SolutionField:
     grid_M: int
     real_valued: bool
     max_quadrature_error: float
-    mode_solutions: dict = field(repr=False)
+    index: np.ndarray = field(repr=False)
+    phi: np.ndarray = field(repr=False)
+    lam: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    quadrature_error_est: np.ndarray = field(repr=False)
+    _view: MappingProxyType | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("index", "phi", "lam", "values", "quadrature_error_est"):
+            getattr(self, name).setflags(write=False)
+
+    @property
+    def mode_solutions(self):
+        if self._view is None:
+            view = {
+                MultiIndex(tuple(row)): ModeSolution(
+                    lam=lam, phi_n=phi_n, times=self.times, values=values, quadrature_error_est=est
+                )
+                for row, lam, phi_n, values, est in zip(
+                    self.index.tolist(),
+                    self.lam.tolist(),
+                    self.phi.tolist(),
+                    self.values,
+                    self.quadrature_error_est.tolist(),
+                )
+            }
+            object.__setattr__(self, "_view", MappingProxyType(view))
+        return self._view
 
     @property
     def modes(self):
-        return MappingProxyType(self.mode_solutions)
+        return self.mode_solutions
 
     def spectral_at(self, time_index: int) -> SpectralField:
-        modes = self.mode_solutions
-        index = np.array([idx.components for idx in modes], dtype=np.int64)
-        values = np.array([sol.values[time_index] for sol in modes.values()], dtype=complex)
         return SpectralField.from_arrays(
-            index.reshape(len(modes), self.dimension),
-            values,
+            self.index,
+            self.values[:, time_index],
             self.truncation_radius_sq,
             real_valued=self.real_valued,
         )
@@ -215,19 +270,10 @@ class SolutionField:
         return synthesize(self.spectral_at(time_index), m)
 
     def mode_history(self, n) -> np.ndarray:
-        from .spectra import as_multi_index
-
-        idx = as_multi_index(n, self.dimension)
-        sol = self.mode_solutions.get(idx)
+        sol = self.mode_solutions.get(as_multi_index(n, self.dimension))
         if sol is None:
             return np.zeros(len(self.times), dtype=complex)
         return sol.values
-
-
-def _shell_task(args):
-    rho, lam, members, times, mesh_t, mesh_m, mesh_r, tol = args
-    mesh = GradedMesh(mesh_t, mesh_m, mesh_r)
-    return solve_shell(rho, lam, members, np.asarray(times), mesh, tol)
 
 
 def solve(
@@ -244,11 +290,13 @@ def solve(
     """Assemble the truncated field solution at the requested times.
 
     Every mode in the ball |n|^2 < truncation_radius_sq with nonzero data is
-    solved (zero-data modes contribute the zero trajectory and are skipped),
-    one eigenvalue shell at a time: the modes with equal |n|^2 share their
-    Mittag-Leffler values and kernel moments, and each still refines its
+    solved (zero-data modes contribute the zero trajectory and are skipped)
+    by modal.solve_shells: the modes with equal |n|^2 share their
+    Mittag-Leffler values and kernel moments, each source profile's
+    convolution is formed once per shell, and each mode still refines its
     quadrature mesh to its own tolerance.  With workers > 1 the shells are
-    spread over a process pool.
+    split into contiguous groups of about equal mode count, solved on a
+    process pool by the same function.
     In strict mode a failed smoothness gate raises RegularityError; otherwise
     failures are issued as warnings and the solve proceeds.
     """
@@ -272,44 +320,54 @@ def solve(
     if times_arr[-1] > spec.T * (1.0 + 1e-12):
         raise DomainError(f"times exceed the horizon T = {spec.T}")
 
-    phi_t = _truncate(phi_full, k)
-    sources_t = [(_truncate(g, k), q) for g, q in sources_full]
+    fields = [_truncate(phi_full, k)] + [_truncate(g, k) for g, _q in sources_full]
+    index, table = _coefficient_table(fields, n_dim)
+    profiles = [q for _g, q in sources_full]
+    weights = table[1:].T
+    live = [not q.is_zero for q in profiles]
+    keep = (table[0] != 0.0) | np.any(weights[:, live] != 0.0, axis=1)
+    index, phi, weights = index[keep], table[0][keep], weights[keep]
+    lam = _norm_sq(index).astype(float)
 
     mesh_r = default_grading(spec.rho) if grading_r is None else float(grading_r)
-    mode_solutions: dict = {}  # modes_within order, filled shell by shell
-    shells: dict = {}
-    for idx in modes_within(n_dim, k):
-        phi_n = phi_t.get(idx)
-        terms = [(g.get(idx), q) for g, q in sources_t]
-        f_n = TimeProfile.weighted_sum(terms)
-        if phi_n == 0j and f_n.is_zero:
-            continue
-        mode_solutions[idx] = None
-        shells.setdefault(float(idx.norm_sq), []).append((idx, phi_n, f_n))
-    tasks = [
-        (spec.rho, lam, [(phi_n, f_n) for _, phi_n, f_n in group],
-         tuple(times_arr), spec.T, mesh_M, mesh_r, tolerance)
-        for lam, group in shells.items()
-    ]
-
-    if workers is not None and workers > 1 and len(tasks) > 1:
+    mesh = GradedMesh(spec.T, mesh_M, mesh_r)
+    parts = [slice(None)]
+    if workers is not None and workers > 1:
+        # contiguous groups of shells, each cut at the first shell boundary
+        # past a multiple of modes / workers
+        order = np.argsort(lam, kind="stable")
+        _, shell_start = np.unique(lam[order], return_index=True)
+        edges = np.append(shell_start, lam.size)
+        cuts = edges[np.searchsorted(edges, lam.size * np.arange(1, workers) / workers)]
+        bounds = np.unique(np.concatenate([[0], cuts, [lam.size]]))
+        if bounds.size > 2:
+            parts = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    n = len(parts)
+    tasks = (
+        [spec.rho] * n,
+        [lam[p] for p in parts],
+        [phi[p] for p in parts],
+        [weights[p] for p in parts],
+        [profiles] * n,
+        [times_arr] * n,
+        [mesh] * n,
+        [tolerance] * n,
+    )
+    if n > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-            results = list(
-                pool.map(_shell_task, tasks,
-                         chunksize=max(1, len(tasks) // (4 * int(workers)) or 1))
-            )
+            results = list(pool.map(solve_shells, *tasks))
     else:
-        results = [_shell_task(t) for t in tasks]
-    for group, sols in zip(shells.values(), results):
-        for (idx, _, _), sol in zip(group, sols):
-            mode_solutions[idx] = sol
+        results = list(map(solve_shells, *tasks))
+    values = np.empty((lam.size, times_arr.size), dtype=complex)
+    est = np.empty(lam.size)
+    for p, (v, e) in zip(parts, results):
+        values[p], est[p] = v, e
 
     real = phi_full.real_valued and all(
         g.real_valued and q.is_real for g, q in sources_full
     )
-    max_est = max((s.quadrature_error_est for s in mode_solutions.values()), default=0.0)
     return SolutionField(
         dimension=n_dim,
         rho=spec.rho,
@@ -318,8 +376,12 @@ def solve(
         truncation_radius_sq=k,
         grid_M=int(grid_M),
         real_valued=real,
-        max_quadrature_error=max_est,
-        mode_solutions=mode_solutions,
+        max_quadrature_error=float(np.max(est, initial=0.0)),
+        index=index,
+        phi=phi,
+        lam=lam,
+        values=values,
+        quadrature_error_est=est,
     )
 
 
@@ -347,53 +409,19 @@ def apply_termwise(sol: SolutionField, which: str) -> SolutionField:
     the result lives on times[1:].  Raises MeshError off uniform grids.
     """
     if which == "A":
-        new = {
-            idx: ModeSolution(
-                lam=s.lam,
-                phi_n=s.lam * s.phi_n,
-                times=s.times,
-                values=s.lam * s.values,
-                quadrature_error_est=s.lam * s.quadrature_error_est,
-            )
-            for idx, s in sol.mode_solutions.items()
-        }
-        scale = max((s.lam for s in sol.mode_solutions.values()), default=0.0)
-        return SolutionField(
-            dimension=sol.dimension,
-            rho=sol.rho,
-            T=sol.T,
-            times=sol.times,
-            truncation_radius_sq=sol.truncation_radius_sq,
-            grid_M=sol.grid_M,
-            real_valued=sol.real_valued,
-            max_quadrature_error=scale * sol.max_quadrature_error,
-            mode_solutions=new,
+        return replace(
+            sol,
+            max_quadrature_error=float(np.max(sol.lam, initial=0.0)) * sol.max_quadrature_error,
+            phi=sol.lam * sol.phi,
+            values=sol.lam[:, None] * sol.values,
+            quadrature_error_est=sol.lam * sol.quadrature_error_est,
         )
     if which == "caputo":
         dt = _uniform_dt(sol.times)
-        new = {}
-        for idx, s in sol.mode_solutions.items():
-            dv = caputo_l1(s.values, sol.rho, dt)
-            dv = np.asarray(dv, dtype=complex)
-            dv.setflags(write=False)
-            new[idx] = ModeSolution(
-                lam=s.lam,
-                phi_n=complex(dv[0]),
-                times=s.times[1:],
-                values=dv,
-                quadrature_error_est=s.quadrature_error_est,
-            )
-        return SolutionField(
-            dimension=sol.dimension,
-            rho=sol.rho,
-            T=sol.T,
-            times=sol.times[1:],
-            truncation_radius_sq=sol.truncation_radius_sq,
-            grid_M=sol.grid_M,
-            real_valued=sol.real_valued,
-            max_quadrature_error=sol.max_quadrature_error,
-            mode_solutions=new,
-        )
+        dv = np.zeros((len(sol.lam), len(sol.times) - 1), dtype=complex)
+        for row, w in zip(dv, sol.values):
+            row[:] = caputo_l1(w, sol.rho, dt)
+        return replace(sol, times=sol.times[1:], phi=dv[:, 0], values=dv)
     raise DomainError(f"operator must be 'A' or 'caputo', got {which!r}")
 
 
@@ -433,47 +461,36 @@ def residual(sol: SolutionField, spec: ProblemSpec, dt: float) -> ResidualReport
     horizon = times[-1]
 
     k = sol.truncation_radius_sq
-    sources_t = [
-        (_truncate(_as_spectral(g, spec.dimension), k), q) for g, q in spec.source
-    ]
-
-    idx_list = sorted(sol.mode_solutions, key=lambda m: m.components)
     if sol.rho < 1.0:
         eval_times = times[1:]
+        dw = apply_termwise(sol, "caputo").values
+        w_eval = sol.values[:, 1:]
     else:
         eval_times = times[1:n]
-    rows = np.zeros((len(idx_list), eval_times.size), dtype=complex)
-    for i, idx in enumerate(idx_list):
-        s = sol.mode_solutions[idx]
-        w = np.asarray(s.values)
-        if sol.rho < 1.0:
-            dw = caputo_l1(w, sol.rho, dt)
-            dw = np.asarray(dw, dtype=complex)
-            w_eval = w[1:]
-        else:
-            dw = (w[2:] - w[:-2]) / (2.0 * dt)
-            w_eval = w[1:n]
-        terms = [(g.get(idx), q) for g, q in sources_t]
-        f_n = TimeProfile.weighted_sum(terms)
-        rows[i] = dw + s.lam * w_eval - f_n(eval_times)
+        dw = (sol.values[:, 2:] - sol.values[:, :-2]) / (2.0 * dt)
+        w_eval = sol.values[:, 1:n]
+    rows = dw + sol.lam[:, None] * w_eval
+    if spec.source:
+        # each mode's source, sum_i g_i[n] q_i(t), as one product over the modes
+        fields = [_truncate(_as_spectral(g, spec.dimension), k) for g, _q in spec.source]
+        _, table = _coefficient_table(fields, spec.dimension, sol.index)
+        rows -= table.T @ np.array([q(eval_times) for _g, q in spec.source])
 
     keep = eval_times >= 0.05 * horizon
-    index = np.array([idx.components for idx in idx_list], dtype=np.int64)
-    index = index.reshape(len(idx_list), spec.dimension)
     grid_axes = tuple(range(1, spec.dimension + 1))
     block = max(1, _RESIDUAL_BLOCK_POINTS // sol.grid_M**spec.dimension)
     amps = np.zeros(eval_times.size)
     for j in range(0, eval_times.size, block):
-        samples = _synthesize_rows(index, rows[:, j : j + block].T, k, sol.grid_M)
+        samples = _synthesize_rows(sol.index, rows[:, j : j + block].T, k, sol.grid_M)
         amps[j : j + block] = np.max(np.abs(samples), axis=grid_axes)
     sup_body = float(np.max(amps[keep], initial=0.0))
     sup_layer = float(np.max(amps[~keep], initial=0.0))
 
-    if idx_list:
+    if len(sol.lam):
         per_mode = np.max(np.abs(rows[:, keep]), axis=1) if np.any(keep) else np.max(
             np.abs(rows), axis=1
         )
-        worst = idx_list[int(np.argmax(per_mode))]
+        worst = MultiIndex(tuple(sol.index[int(np.argmax(per_mode))].tolist()))
     else:
         worst = MultiIndex((0,) * spec.dimension)
 
@@ -505,26 +522,26 @@ def _tail_parts(spec: ProblemSpec, a: float, truncation_radius_sq: int, t: float
         raise DomainError(f"tail indicator needs t > 0, got {t}")
     k = int(truncation_radius_sq)
     phi_full = _as_spectral(spec.phi, spec.dimension)
+    norm_sq = _norm_sq(phi_full._index)
+    tail = norm_sq >= k
     phi_tail = sum(
-        float(idx.norm_sq) ** a * abs(val) ** 2
-        for idx, val in phi_full.items()
-        if idx.norm_sq >= k
+        float(n) ** a * abs(v) ** 2
+        for n, v in zip(norm_sq[tail].tolist(), phi_full._values[tail].tolist())
     )
     phi_part = t ** (-2.0 * spec.rho) * phi_tail
 
-    probe = np.linspace(0.0, spec.T, 65)
     src_part = 0.0
     if spec.source:
-        sources_full = [(_as_spectral(g, spec.dimension), q) for g, q in spec.source]
-        tail_modes = set()
-        for g, _q in sources_full:
-            tail_modes.update(
-                idx for idx, _v in g.items() if idx.norm_sq >= k
-            )
-        for idx in tail_modes:
-            prof = TimeProfile.weighted_sum([(g.get(idx), q) for g, q in sources_full])
-            peak = float(np.max(np.abs(prof(probe)))) if not prof.is_zero else 0.0
-            src_part += float(idx.norm_sq) ** a * peak**2
+        fields = [_as_spectral(g, spec.dimension) for g, _q in spec.source]
+        index, table = _coefficient_table(fields, spec.dimension)
+        norm_sq = _norm_sq(index)
+        tail = norm_sq >= k
+        probe = np.linspace(0.0, spec.T, 65)
+        sources = table[:, tail].T @ np.array([q(probe) for _g, q in spec.source])
+        peaks = np.max(np.abs(sources), axis=1, initial=0.0)
+        src_part = sum(
+            float(n) ** a * p**2 for n, p in zip(norm_sq[tail].tolist(), peaks.tolist())
+        )
     return (float(phi_part), float(src_part))
 
 

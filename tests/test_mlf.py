@@ -336,6 +336,20 @@ def test_kernel_cumulative_agrees_with_primitive():
             assert np.all(np.diff(cum[:3]) > 0.0)
 
 
+def test_kernel_cumulative_array_lam_matches_scalar_calls():
+    xs = np.array([0.0, 1e-8, 1e-3, 0.2, 1.0, 7.0, 80.0])
+    lams = np.array([0.0, 5.0, 333.0, 0.01])
+    for rho in (0.35, 0.7, 1.0):
+        both = mlf.kernel_cumulative(rho, lams[:, None], xs)
+        assert both.shape == (lams.size, xs.size)
+        for row, lam in zip(both, lams):
+            assert np.array_equal(row, mlf.kernel_cumulative(rho, float(lam), xs))
+        np.testing.assert_allclose(both[0], xs**rho / math.gamma(1.0 + rho), rtol=1e-15)
+    for bad in ([1.0, -1.0], [1.0, np.nan], [np.inf]):
+        with pytest.raises(DomainError):
+            mlf.kernel_cumulative(0.5, np.array(bad)[:, None], xs)
+
+
 def test_wide_entry_classical_identities():
     r = mlf.mlf_neg_wide(2.0, 1.0, 2.3)
     assert r.value == pytest.approx(math.cos(math.sqrt(2.3)), rel=1e-13)

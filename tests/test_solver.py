@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracspec import mlf, solver
+from fracspec import mlf, modal, solver
 from fracspec.errors import (
     AliasError,
     ConvergenceError,
@@ -455,7 +455,14 @@ def two_source_spec(rho=0.5):
     )
 
 
-def test_solve_matches_solve_mode_bitwise():
+def test_solve_matches_solve_mode():
+    """The field path sums sum_i g_i conv(q_i), solve_mode conv(sum_i g_i q_i).
+
+    The two orders agree to rounding: values within 1e-14 of each mode's
+    max|w|, and estimates within 1e-6 relative.  Consecutive levels'
+    discrepancies differ by about 4x, so equal estimates also mean each mode
+    ended on the same mesh level.
+    """
     spec = two_source_spec()
     times = np.linspace(0.0, 1.0, 5)
     sol = solve(spec, times, 6, 7, mesh_M=4)
@@ -464,18 +471,20 @@ def test_solve_matches_solve_mode_bitwise():
     for idx, s in sol.modes.items():
         f_n = TimeProfile.weighted_sum([(g.get(idx), q) for g, q in spec.source])
         direct = solve_mode(spec.rho, float(idx.norm_sq), 0.5, f_n, times, mesh)
-        assert np.array_equal(s.values, direct.values), idx
-        assert s.quadrature_error_est == direct.quadrature_error_est, idx
+        scale = np.max(np.abs(direct.values))
+        assert np.max(np.abs(s.values - direct.values)) <= 1e-14 * scale, idx
+        assert s.quadrature_error_est == pytest.approx(direct.quadrature_error_est, rel=1e-6), idx
 
 
 def test_solve_does_shell_work_once(monkeypatch):
-    kernel_calls = []
+    kernel_points = []
     homog_calls = []
     kernel_cumulative = mlf.kernel_cumulative
     mlf_neg_array = mlf.mlf_neg_array
 
     def counting_kernel(rho, lam, x):
-        kernel_calls.append((lam, np.size(x)))
+        lam, x = np.broadcast_arrays(lam, x)
+        kernel_points.extend(zip(lam.ravel().tolist(), x.ravel().tolist()))
         return kernel_cumulative(rho, lam, x)
 
     def counting_mlf(params, t):
@@ -483,14 +492,30 @@ def test_solve_does_shell_work_once(monkeypatch):
             homog_calls.append(params)
         return mlf_neg_array(params, t)
 
+    spec = two_source_spec()
+    times = np.linspace(0.0, 1.0, 5)
+    mesh = GradedMesh(1.0, 4, default_grading(spec.rho))
     monkeypatch.setattr(mlf, "kernel_cumulative", counting_kernel)
     monkeypatch.setattr(mlf, "mlf_neg_array", counting_mlf)
-    sol = solve(two_source_spec(), np.linspace(0.0, 1.0, 5), 6, 7, mesh_M=4)
-    shells = {s.lam for s in sol.modes.values()}
-    assert len(sol.modes) == 21 and len(shells) == 5
-    assert kernel_calls
-    assert len(kernel_calls) == len(set(kernel_calls))
-    assert len(homog_calls) == len(shells)
+    # per mode alone, the kernel points are (positive times) x (final mesh M):
+    # the first level evaluates its M0 nodes past 0, each doubling M0 2^j more
+    positive = np.count_nonzero(times > 0.0)
+    final_M = {}
+    for idx in modes_within(2, 6):
+        kernel_points.clear()
+        f_n = TimeProfile.weighted_sum([(g.get(idx), q) for g, q in spec.source])
+        solve_mode(spec.rho, float(idx.norm_sq), 0.5, f_n, times, mesh)
+        lam = idx.norm_sq
+        final_M[lam] = max(final_M.get(lam, 0), len(kernel_points) // positive)
+    kernel_points.clear()
+    homog_calls.clear()
+    sol = solve(spec, times, 6, 7, mesh_M=4)
+    assert len(sol.modes) == 21 and len(final_M) == 5
+    assert len(homog_calls) == 1
+    assert len(kernel_points) == len(set(kernel_points))
+    # a shell refines until its last member stops
+    assert len(kernel_points) == positive * sum(final_M.values())
+    assert max(final_M.values()) >= 8 * min(final_M.values())
 
 
 def test_solve_errors_through_shells():
@@ -526,3 +551,60 @@ def test_residual_blocks_match_one_batch(monkeypatch):
     # 3 grid points per block: every time slice is synthesized in its own block
     monkeypatch.setattr(solver, "_RESIDUAL_BLOCK_POINTS", 3)
     assert residual(sol, spec, dt=1.0 / 8) == whole
+
+
+def test_solve_kernel_blocks_match_one_block(monkeypatch):
+    spec = two_source_spec()
+    times = np.linspace(0.0, 1.0, 5)
+    whole = solve(spec, times, 6, 7, mesh_M=4)
+    # 7 points per kernel call: every shell's times are split, one time a call
+    monkeypatch.setattr(modal, "_KERNEL_BLOCK_POINTS", 7)
+    blocked = solve(spec, times, 6, 7, mesh_M=4)
+    assert np.array_equal(blocked.values, whole.values)
+    assert np.array_equal(blocked.quadrature_error_est, whole.quadrature_error_est)
+
+
+def test_solve_and_residual_build_no_multi_index_per_mode(monkeypatch):
+    built = []
+    post_init = MultiIndex.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    modes = modes_within(2, 40)
+    phi = SpectralField({m: 1.0 / (1.0 + m.norm_sq) ** 2 for m in modes}, 40, dimension=2)
+    spec = ProblemSpec(
+        dimension=2, rho=0.5, T=1.0, phi=phi,
+        source=((phi, TimeProfile.polynomial([1.0, -0.5])),),
+    )
+    times = np.linspace(0.0, 1.0, 9)
+    monkeypatch.setattr(MultiIndex, "__post_init__", counting_post_init)
+    sol = solve(spec, times, 40, 13)
+    report = residual(sol, spec, dt=1.0 / 8)
+    assert len(sol.lam) == len(modes) == 121
+    assert built == [report.per_mode_worst]
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0])
+def test_solve_shells_edge_shells(rho):
+    # shells lam = 0 (two members), lam = 1 (no member has a source), lam = 2
+    lam = np.array([0.0, 1.0, 0.0, 2.0, 1.0])
+    phi = np.array([1.0, 2.0, 0.0, -1.0, 0.5j])
+    weights = np.array([[3.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.5], [0.0, 0.0]])
+    profiles = [TimeProfile.constant(1.0), TimeProfile.constant(-2.0)]
+    times = np.linspace(0.0, 1.0, 5)
+    mesh = GradedMesh(1.0, 8, default_grading(rho))
+    values, est = modal.solve_shells(rho, lam, phi, weights, profiles, times, mesh)
+    # a constant source is exact under product integration: the kernel mass
+    # telescopes to its running integral
+    homog = mlf.mlf_neg_array(mlf.MlfParams(rho, 1.0), lam[:, None] * times**rho)[0]
+    cum = mlf.kernel_cumulative(rho, lam[:, None], times)
+    exact = phi[:, None] * homog + (weights @ np.array([1.0, -2.0]))[:, None] * cum
+    assert np.max(np.abs(values - exact)) <= 1e-14
+    if rho == 1.0:
+        assert np.max(np.abs(values[2] - (-2.0 * times))) <= 1e-14  # w = phi + c t at lam = 0
+    silent = [1, 4]
+    assert np.all(est[silent] == 0.0)
+    assert np.array_equal(values[silent], phi[silent, None] * homog[silent])
+    assert np.all(values[:, 0] == phi)
