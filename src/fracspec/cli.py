@@ -35,8 +35,8 @@ from .modal import TimeProfile
 from .solver import ProblemSpec, builtin_field, residual, solve
 from .spectra import (
     GridField,
-    MultiIndex,
     SpectralField,
+    _norm_sq,
     liouville_norm_sq,
 )
 
@@ -57,24 +57,35 @@ def _parse_field(obj, dimension: int) -> SpectralField:
         params = {k: v for k, v in obj.items() if k != "builtin"}
         return builtin_field(str(obj["builtin"]), dimension, **params)
     if "modes" in obj:
-        entries = {}
-        for row in obj["modes"]:
-            if len(row) != dimension + 2:
-                raise ConfigError(
-                    f"mode rows need {dimension} indices plus re, im; got {row}"
-                )
-            idx = MultiIndex(tuple(int(c) for c in row[:dimension]))
-            entries[idx] = complex(float(row[-2]), float(row[-1]))
-        k = max((idx.norm_sq for idx in entries), default=0) + 1
-        hermitian = all(
-            abs(entries.get(-idx, 0j) - v.conjugate())
-            <= 1e-12 * max(abs(v), 1e-300)
-            for idx, v in entries.items()
-        )
-        return SpectralField(
-            entries, k, dimension=dimension, real_valued=hermitian
-        )
+        return _rows_field(obj["modes"], dimension)
     raise ConfigError("field spec needs either 'builtin' or 'modes'")
+
+
+def _rows_field(rows, dimension: int) -> SpectralField:
+    """Field from rows of dimension indices then re, im, on the ball |n|^2 <= max |n|^2.
+
+    The rows become an int64 index matrix and a value vector for
+    SpectralField.from_arrays, so a repeated index raises DomainError.  The
+    field is real-valued when it passes spectra's Hermitian rule.
+    """
+    comps, values = [], []
+    for row in rows:
+        if len(row) != dimension + 2:
+            raise ConfigError(f"row {row} does not hold {dimension} indices then re, im")
+        try:
+            comps.extend([int(c) for c in row[:dimension]])
+            values.append(complex(float(row[-2]), float(row[-1])))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed row {row}: {exc}") from None
+    try:
+        index = np.array(comps, dtype=np.int64).reshape(-1, dimension)
+    except OverflowError:
+        raise DomainError("an index component is too large for int64 indices") from None
+    k = int(np.max(_norm_sq(index), initial=0)) + 1
+    try:
+        return SpectralField.from_arrays(index, values, k, real_valued=True)
+    except DomainError:  # not Hermitian; a repeated index raises again below
+        return SpectralField.from_arrays(index, values, k)
 
 
 def _parse_profile(obj) -> TimeProfile:
@@ -277,7 +288,7 @@ def _solution_csv(sol, cfg: RunConfig) -> str:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    from .solver import _as_spectral, check_hypothesis, truncation_tail
+    from .solver import check_hypothesis, truncation_tail
 
     sol = solve(
         cfg.spec,
@@ -290,11 +301,7 @@ def cmd_solve(args) -> int:
         strict=cfg.strict,
         workers=cfg.workers,
     )
-    phi_full = _as_spectral(cfg.spec.phi, cfg.dimension)
-    sources_full = [
-        (_as_spectral(g, cfg.dimension), q) for g, q in cfg.spec.source
-    ]
-    failures = check_hypothesis(cfg.spec, phi_full, sources_full)
+    failures = check_hypothesis(cfg.spec, cfg.spec.phi, cfg.spec.source)
     tail = truncation_tail(
         cfg.spec, cfg.spec.claimed_exponent, cfg.truncation_radius_sq, cfg.spec.T
     )
@@ -334,7 +341,7 @@ def cmd_residual(args) -> int:
         )
         reports.append(residual(sol, cfg.spec, dt))
     sup1, sup2 = reports[0].sup_residual, reports[1].sup_residual
-    scale = max((abs(v) for _, v in _data_scale(cfg)), default=0.0)
+    scale = _data_scale(cfg)
     exact = sup1 <= 1e-12 * max(scale, 1e-30) and sup2 <= 1e-12 * max(scale, 1e-30)
     if exact:
         rate = math.inf
@@ -366,14 +373,10 @@ def cmd_residual(args) -> int:
     return 0
 
 
-def _data_scale(cfg: RunConfig):
-    vals = [(idx, v) for idx, v in cfg.spec.phi.items()] if isinstance(
-        cfg.spec.phi, SpectralField
-    ) else []
-    for g, _q in cfg.spec.source:
-        if isinstance(g, SpectralField):
-            vals.extend(g.items())
-    return vals
+def _data_scale(cfg: RunConfig) -> float:
+    """Largest |coefficient| of the initial datum and the source factors."""
+    fields = [cfg.spec.phi] + [g for g, _q in cfg.spec.source]
+    return max(float(np.max(np.abs(f._values), initial=0.0)) for f in fields)
 
 
 def cmd_counterexample(args) -> int:
@@ -424,19 +427,7 @@ def _read_coeff_csv(path: str) -> SpectralField:
         raise ConfigError(
             f"{path} header must be index columns then re, im; got {header}"
         )
-    dim = len(header) - 2
-    entries = {}
-    for ln in lines[1:]:
-        cols = ln.split(",")
-        if len(cols) != dim + 2:
-            raise ConfigError(f"row {ln!r} does not match the header width")
-        try:
-            idx = MultiIndex(tuple(int(c) for c in cols[:dim]))
-            entries[idx] = complex(float(cols[-2]), float(cols[-1]))
-        except ValueError as exc:
-            raise ConfigError(f"malformed row {ln!r}: {exc}") from None
-    k = max((idx.norm_sq for idx in entries), default=0) + 1
-    return SpectralField(entries, k, dimension=dim)
+    return _rows_field([ln.split(",") for ln in lines[1:]], len(header) - 2)
 
 
 def cmd_norm(args) -> int:
@@ -446,7 +437,7 @@ def cmd_norm(args) -> int:
     lines = ["a,liouville_norm_sq"]
     for a in args.a:
         lines.append(f"{_fmt(a)},{_fmt(liouville_norm_sq(field, float(a)))}")
-    max_r = math.isqrt(max((idx.norm_sq for idx, _ in field.items()), default=0))
+    max_r = math.isqrt(int(np.max(_norm_sq(field._index), initial=0)))
     critical: str
     if len(args.a) >= 2 and len(field) > 0:
         try:

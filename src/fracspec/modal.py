@@ -200,9 +200,9 @@ class ModeSolution:
     """One mode's trajectory with its quadrature self-certification.
 
     quadrature_error_est is the discrepancy between the convolution on the
-    last two mesh levels, so it bounds the mesh discrepancy only: it carries
-    neither the Mittag-Leffler evaluator's own error nor the rounding of the
-    values, and near t = 0 it can sit below one ulp of max|w|.
+    last two mesh levels, floored at 4 ulp of max|w| so that it also covers
+    the rounding of the values; it does not carry the Mittag-Leffler
+    evaluator's own error.  It is 0 for a mode without a source.
     """
 
     lam: float
@@ -263,19 +263,11 @@ def _kernel_level(rho, lam, times, mesh, profiles, coarse=None):
 
 def convolve_kernel(rho: float, lam: float, f_n: TimeProfile, t: float, mesh: GradedMesh) -> complex:
     """Integral of f_n(t-xi) xi^{rho-1} E_{rho,rho}(-lam xi^rho) over [0, t], on mesh alone."""
-    _check_mode_params(rho, lam)
+    mlf._check_kernel_params(rho, lam)
     if not (0.0 < t <= mesh.T * (1.0 + 1e-12)):
         raise DomainError(f"need 0 < t <= mesh.T = {mesh.T}, got t = {t}")
     _, conv = _kernel_level(rho, np.array([float(lam)]), np.array([float(t)]), mesh, [f_n])
     return complex(conv[0, 0, 0])
-
-
-def _check_mode_params(rho: float, lam) -> None:
-    if not (0.0 < rho <= 1.0) or not math.isfinite(rho):
-        raise DomainError(f"rho must lie in (0, 1], got {rho}")
-    lam = np.asarray(lam, dtype=float)
-    if not np.all(lam >= 0.0) or not np.all(np.isfinite(lam)):
-        raise DomainError(f"eigenvalue must be finite and nonnegative, got {lam}")
 
 
 def solve_shells(
@@ -300,15 +292,17 @@ def solve_shells(
 
     Each mode follows the solve_mode rule on its own: the mesh is doubled
     until max_t |w_fine - w_coarse| over its own convolution is within the
-    tolerance, that discrepancy is its quadrature_error_est, and a mode
-    still above it at the ceiling raises ConvergenceError.  A shell's
+    tolerance, and a mode still above it at the ceiling raises
+    ConvergenceError.  Its quadrature_error_est is that discrepancy, floored
+    at 4 ulp of max_t |w_m| (the rounding of the values); a mode with no
+    convolution to refine has estimate 0.  A shell's
     results do not depend on which other shells are solved with it.
 
     Returns (values, quadrature_error_est): a (modes x times) complex array
     and a (modes,) float array.
     """
     lam = np.asarray(lam, dtype=float)
-    _check_mode_params(rho, lam)
+    mlf._check_kernel_params(rho, lam)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise DomainError("times must be a nonempty 1-d sequence")
@@ -358,9 +352,11 @@ def solve_shells(
                 m = members[start + j]
                 fine = weights[m] @ c
                 err = np.max(np.abs(fine - coarse[start + j]), axis=1)
-                est[m] = err
                 done = err <= tolerance
-                values[np.ix_(m[done], pos)] += fine[done]
+                stop = m[done]
+                values[np.ix_(stop, pos)] += fine[done]
+                # the mesh discrepancy, floored at 4 ulp of the values it certifies
+                est[stop] = np.maximum(err[done], 4.0 * _EPS * np.max(np.abs(values[stop]), axis=1))
                 if done.all():
                     continue
                 if refined.M >= _M_CAP:
@@ -397,9 +393,9 @@ def solve_mode(
     discrepancy is reported as quadrature_error_est.  If it exceeds the
     tolerance (default 1e-8 in the classical limit rho = 1, 1e-6 otherwise),
     the mesh is doubled again, up to a ceiling, before giving up.  The
-    estimate bounds the mesh discrepancy only, not the Mittag-Leffler error
-    or the rounding of the values.  This is the one-mode, one-profile case
-    of solve_shells.
+    estimate is floored at 4 ulp of max|w|, so it covers the rounding of the
+    values too, but not the Mittag-Leffler error.  This is the one-mode,
+    one-profile case of solve_shells.
     """
     profiles = [] if f_n is None else [f_n]
     values, est = solve_shells(
@@ -499,7 +495,7 @@ def verify_cauchy(
     """
     if not (0.0 < rho < 1.0):
         raise DomainError(f"residual verification needs rho in (0, 1), got {rho}")
-    _check_mode_params(rho, lam)
+    mlf._check_kernel_params(rho, lam)
     if not (T > 0.0) or not (0.0 < dt < T):
         raise DomainError(f"need 0 < dt < T, got dt={dt}, T={T}")
     n = round(T / dt)

@@ -1,12 +1,16 @@
 """Field-level driver: truncation, the shell solve, termwise operators, residuals.
 
 The field u(x, t) = sum over retained modes of w_n(t) e^{i n.x} is assembled
-from scalar mode problems (lam = |n|^2).  solve gathers the modes with
+from scalar mode problems (lam = |n|^2).  ProblemSpec converts its initial
+datum and each source factor to an array-backed SpectralField once, when it
+is built (a builtin name by builtin_field, a GridField by analyze), and no
+later step converts them again.  solve gathers the modes with
 nonzero data from the truncated fields' index arrays and hands them all to
 modal.solve_shells, which shares the Mittag-Leffler values, kernel moments
 and source convolutions within each eigenvalue shell.  A SolutionField
 stores the result as arrays (index matrix, values matrix, per-mode vectors),
-and everything downstream works on them without a per-mode object: applying
+and everything downstream works on them without a per-mode object or a
+MultiIndex mapping (that view is built only when a caller asks): applying
 the spatial operator multiplies a mode history by |n|^2, the fractional time
 derivative acts per mode through the L1 scheme, and residuals are
 synthesized back onto the grid, every time slice of a block in one batched
@@ -93,8 +97,11 @@ def builtin_field(name: str, dimension: int = 1, **params) -> SpectralField:
 class ProblemSpec:
     """Problem data: order, horizon, initial datum, separable source.
 
-    source is a sequence of (g, q) pairs meaning f(x, t) = sum_i g_i(x) q_i(t);
-    g may be a SpectralField, a GridField, or a builtin name like phi.
+    source is a sequence of (g, q) pairs meaning f(x, t) = sum_i g_i(x) q_i(t).
+    phi and each g may be a SpectralField, a GridField or a builtin name;
+    construction converts each to its full stored SpectralField (no solve
+    truncation applied) and raises DomainError on a dimension mismatch or an
+    unknown name, so after it phi and every g are SpectralFields.
     regularity_exponent_a is the claimed smoothness exponent for the
     hypothesis gate; when omitted it defaults to dimension/2 + 1.
     """
@@ -114,12 +121,13 @@ class ProblemSpec:
         if not (self.T > 0.0) or not math.isfinite(self.T):
             raise DomainError(f"horizon T must be positive and finite, got {self.T}")
         object.__setattr__(self, "dimension", int(self.dimension))
+        object.__setattr__(self, "phi", _as_spectral(self.phi, self.dimension))
         pairs = []
         for item in self.source:
             g, q = item
             if not isinstance(q, TimeProfile):
                 raise DomainError("each source term needs a TimeProfile time factor")
-            pairs.append((g, q))
+            pairs.append((_as_spectral(g, self.dimension), q))
         object.__setattr__(self, "source", tuple(pairs))
 
     @property
@@ -270,10 +278,13 @@ class SolutionField:
         return synthesize(self.spectral_at(time_index), m)
 
     def mode_history(self, n) -> np.ndarray:
-        sol = self.mode_solutions.get(as_multi_index(n, self.dimension))
-        if sol is None:
-            return np.zeros(len(self.times), dtype=complex)
-        return sol.values
+        idx = as_multi_index(n, self.dimension)
+        # a stored row lies in the ball, so an index outside it is never compared in int64
+        if idx.norm_sq < self.truncation_radius_sq:
+            row = np.flatnonzero(np.all(self.index == idx.components, axis=1))
+            if row.size:
+                return self.values[row[0]]
+        return np.zeros(len(self.times), dtype=complex)
 
 
 def solve(
@@ -304,25 +315,18 @@ def solve(
     require_alias_free(k, grid_M)
     n_dim = spec.dimension
 
-    phi_full = _as_spectral(spec.phi, n_dim)
-    sources_full = [(_as_spectral(g, n_dim), q) for g, q in spec.source]
-
-    failures = check_hypothesis(spec, phi_full, sources_full)
+    failures = check_hypothesis(spec, spec.phi, spec.source)
     if failures:
         if strict:
             raise RegularityError("; ".join(failures))
         for msg in failures:
             warnings.warn(msg, stacklevel=2)
 
+    # solve_shells checks the times (a 1-d, sorted, nonempty sequence in [0, T])
     times_arr = np.asarray(times, dtype=float)
-    if times_arr.ndim != 1 or times_arr.size == 0:
-        raise DomainError("times must be a nonempty 1-d sequence")
-    if times_arr[-1] > spec.T * (1.0 + 1e-12):
-        raise DomainError(f"times exceed the horizon T = {spec.T}")
-
-    fields = [_truncate(phi_full, k)] + [_truncate(g, k) for g, _q in sources_full]
+    fields = [_truncate(spec.phi, k)] + [_truncate(g, k) for g, _q in spec.source]
     index, table = _coefficient_table(fields, n_dim)
-    profiles = [q for _g, q in sources_full]
+    profiles = [q for _g, q in spec.source]
     weights = table[1:].T
     live = [not q.is_zero for q in profiles]
     keep = (table[0] != 0.0) | np.any(weights[:, live] != 0.0, axis=1)
@@ -365,9 +369,7 @@ def solve(
     for p, (v, e) in zip(parts, results):
         values[p], est[p] = v, e
 
-    real = phi_full.real_valued and all(
-        g.real_valued and q.is_real for g, q in sources_full
-    )
+    real = spec.phi.real_valued and all(g.real_valued and q.is_real for g, q in spec.source)
     return SolutionField(
         dimension=n_dim,
         rho=spec.rho,
@@ -472,7 +474,7 @@ def residual(sol: SolutionField, spec: ProblemSpec, dt: float) -> ResidualReport
     rows = dw + sol.lam[:, None] * w_eval
     if spec.source:
         # each mode's source, sum_i g_i[n] q_i(t), as one product over the modes
-        fields = [_truncate(_as_spectral(g, spec.dimension), k) for g, _q in spec.source]
+        fields = [_truncate(g, k) for g, _q in spec.source]
         _, table = _coefficient_table(fields, spec.dimension, sol.index)
         rows -= table.T @ np.array([q(eval_times) for _g, q in spec.source])
 
@@ -495,7 +497,7 @@ def residual(sol: SolutionField, spec: ProblemSpec, dt: float) -> ResidualReport
         worst = MultiIndex((0,) * spec.dimension)
 
     if times[0] == 0.0:
-        phi_t = _truncate(_as_spectral(spec.phi, spec.dimension), k)
+        phi_t = _truncate(spec.phi, k)
         u0 = sol.grid_at(0).samples
         p0 = synthesize(phi_t, sol.grid_M).samples
         init_err = float(np.max(np.abs(u0 - p0)))
@@ -521,19 +523,17 @@ def _tail_parts(spec: ProblemSpec, a: float, truncation_radius_sq: int, t: float
     if not (t > 0.0):
         raise DomainError(f"tail indicator needs t > 0, got {t}")
     k = int(truncation_radius_sq)
-    phi_full = _as_spectral(spec.phi, spec.dimension)
-    norm_sq = _norm_sq(phi_full._index)
+    norm_sq = _norm_sq(spec.phi._index)
     tail = norm_sq >= k
     phi_tail = sum(
         float(n) ** a * abs(v) ** 2
-        for n, v in zip(norm_sq[tail].tolist(), phi_full._values[tail].tolist())
+        for n, v in zip(norm_sq[tail].tolist(), spec.phi._values[tail].tolist())
     )
     phi_part = t ** (-2.0 * spec.rho) * phi_tail
 
     src_part = 0.0
     if spec.source:
-        fields = [_as_spectral(g, spec.dimension) for g, _q in spec.source]
-        index, table = _coefficient_table(fields, spec.dimension)
+        index, table = _coefficient_table([g for g, _q in spec.source], spec.dimension)
         norm_sq = _norm_sq(index)
         tail = norm_sq >= k
         probe = np.linspace(0.0, spec.T, 65)

@@ -12,12 +12,14 @@ Liouville norm is Sum_n (1+|n|^2)^a |c_n|^2 on the coefficients alone, and the
 explicitly where an integral is meant (see embedding_constant).
 
 Storage: a SpectralField holds its coefficients as two arrays in entry order,
-an int64 index matrix (modes x N) and a complex value vector.  analyze,
-synthesize, the radial fold and the Liouville norm work on those arrays
-whole; no per-coefficient object is made.  The mapping view (entries, get,
-items) of MultiIndex keys is built on first use, and a field built from a
-dict keeps that validated dict as its view.  SpectralField.from_arrays builds
-a field straight from the two arrays.
+an int64 index matrix (modes x N) and a complex value vector.  Every
+operation here (analyze, synthesize, the radial fold, the Liouville norm, the
+fractional power, the derivative symbol and the embedding scan) works on
+those arrays whole; no per-coefficient object is made.  The mapping view
+(entries, get, items) of MultiIndex keys is built on first use, for callers
+that ask for it, and a field built from a dict keeps that validated dict as
+its view.  SpectralField.from_arrays builds a field straight from the two
+arrays.
 
 Transforms use the FFT: the grid offset x_j = -pi + 2pi j/M contributes a
 (-1)^{n_1+...+n_N} phase relative to the standard DFT, folded in exactly.
@@ -403,13 +405,28 @@ def synthesize(c: SpectralField, points_per_axis: int) -> GridField:
     return GridField(samples)
 
 
+def _shell_pow(norm_sq: np.ndarray, offset: float, exponent: float) -> np.ndarray:
+    """(offset + |n|^2)^exponent per row, by libm pow once per shell |n|^2:
+    numpy's vectorized pow can differ from it in the last place."""
+    shells, member = np.unique(norm_sq, return_inverse=True)
+    return np.array([(offset + s) ** exponent for s in shells.tolist()])[member]
+
+
+def _derivative_symbol(index: np.ndarray, alpha: DerivMultiIndex, factor=1.0) -> np.ndarray:
+    """factor (i n)^alpha per row, multiplied in component order: the Fourier
+    symbol of D^alpha, scaled by factor (a scalar or one value per row)."""
+    symbol = np.broadcast_to(np.asarray(factor, dtype=complex), index.shape[:1])
+    for comp, power in zip(index.T, alpha.alpha):
+        if power:
+            symbol = symbol * (1j * comp) ** power
+    return symbol
+
+
 def liouville_norm_sq(c: SpectralField, a: float) -> float:
     """Sum (1+|n|^2)^a |c_n|^2 over the stored entries."""
-    a = float(a)
-    shells, member = np.unique(_norm_sq(c._index), return_inverse=True)
-    # libm pow once per shell: numpy's vectorized pow can differ from it in the last place
-    weight = np.array([(1.0 + s) ** a for s in shells.tolist()])
-    terms = weight[member] * (c._values.real**2 + c._values.imag**2)
+    terms = _shell_pow(_norm_sq(c._index), 1.0, float(a)) * (
+        c._values.real**2 + c._values.imag**2
+    )
     # a sequential sum in entry order: np.sum's pairwise order would move the last digit
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
@@ -471,37 +488,31 @@ def apply_fractional_power(c: SpectralField, tau: float) -> SpectralField:
     tau = float(tau)
     if tau == 0.0:
         return c
-    zero = MultiIndex((0,) * c.dimension)
-    if tau < 0.0 and c.get(zero) != 0j:
+    norm_sq = _norm_sq(c._index)
+    zero = norm_sq == 0
+    if tau < 0.0 and np.any(c._values[zero] != 0.0):
         raise ZeroModeError(
             "negative power undefined on the zero mode; remove or zero the mean first"
         )
-    entries = {}
-    for idx, val in c.items():
-        nsq = idx.norm_sq
-        if nsq == 0:
-            entries[idx] = 0j if tau > 0 else val
-        else:
-            entries[idx] = (float(nsq) ** tau) * val
-    return SpectralField(
-        entries, c.truncation_radius_sq, dimension=c.dimension, real_valued=c.real_valued
+    # the zero mode is set apart: 0 for tau > 0, kept (it is 0) for tau < 0
+    scaled = _shell_pow(np.maximum(norm_sq, 1), 0.0, tau) * c._values
+    values = np.where(zero, 0j if tau > 0.0 else c._values, scaled)
+    return SpectralField.from_arrays(
+        c._index, values, c.truncation_radius_sq, real_valued=c.real_valued
     )
 
 
 def apply_derivative_symbol(c: SpectralField, alpha: DerivMultiIndex) -> SpectralField:
-    """Multiply entries by (i n)^alpha, the Fourier symbol of D^alpha."""
+    """Multiply entries by (i n)^alpha, the symbol of D^alpha; entries it zeroes are dropped."""
     if alpha.dimension != c.dimension:
         raise DomainError(
             f"derivative dimension {alpha.dimension} does not match field {c.dimension}"
         )
-    entries = {}
-    for idx, val in c.items():
-        factor = complex(1.0)
-        for comp, power in zip(idx.components, alpha.alpha):
-            factor *= (1j * comp) ** power
-        if factor != 0:
-            entries[idx] = factor * val
-    return SpectralField(entries, c.truncation_radius_sq, dimension=c.dimension)
+    symbol = _derivative_symbol(c._index, alpha)
+    keep = symbol != 0.0
+    return SpectralField.from_arrays(
+        c._index[keep], (symbol * c._values)[keep], c.truncation_radius_sq
+    )
 
 
 def embedding_constant(
@@ -537,21 +548,14 @@ def embedding_constant(
         if denom_sq == 0.0:
             continue
         saw_nonzero = True
-        weighted = {}
-        for idx, val in g.items():
-            factor = complex((1.0 + idx.norm_sq) ** (-sigma))
-            for comp, power in zip(idx.components, alpha.alpha):
-                factor *= (1j * comp) ** power
-            weighted[idx] = factor * val
-        wfield = SpectralField(weighted, g.truncation_radius_sq, dimension=dim)
-        if grid_points_per_axis is None:
-            nmax = math.isqrt(g.truncation_radius_sq - 1)
-            m = max(4 * nmax + 5, 33)
-            if m % 2 == 0:
-                m += 1
+        weight = _shell_pow(_norm_sq(g._index), 1.0, -sigma)
+        weighted = _derivative_symbol(g._index, alpha, weight) * g._values
+        if grid_points_per_axis is None:  # an odd count, twice the Nyquist need
+            m = max(4 * math.isqrt(g.truncation_radius_sq - 1) + 5, 33)
         else:
             m = int(grid_points_per_axis)
-        sup = float(np.max(np.abs(synthesize(wfield, m).samples)))
+        samples = _synthesize_rows(g._index, weighted[None, :], g.truncation_radius_sq, m)
+        sup = float(np.max(np.abs(samples)))
         denom = math.sqrt(_TWO_PI**dim * denom_sq)
         best = max(best, sup / denom)
     if not saw_nonzero:

@@ -14,6 +14,7 @@ import pytest
 import fracspec
 from fracspec.cli import main
 from fracspec.counterexample import hl_coefficients
+from fracspec.spectra import MultiIndex
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -151,6 +152,51 @@ def test_solve_inline_modes(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["real_valued"] is True
+
+
+def test_solve_modes_real_flag_follows_hermitian_rule(tmp_path):
+    # spectra's rule: a mirror holds the conjugate to 1e-12 of the larger modulus
+    for im_mirror, real in ((-1e-3 * (1 + 5e-13), True), (-1e-3 * (1 + 1e-8), False)):
+        cfg = write_config(tmp_path, phi={"modes": [[1, 0.5, 1e-3], [-1, 0.5, im_mirror]]})
+        out = tmp_path / f"run-{real}"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["real_valued"] is real
+
+
+def test_repeated_index_row_is_an_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, phi={"modes": [[1, 0.5, 0.0], [-1, 0.5, 0.0], [1, 0.25, 0.0]]})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert "(1,) appears more than once" in capsys.readouterr().err
+    f = tmp_path / "twice.csv"
+    f.write_text("n_1,n_2,re,im\n1,2,0.5,0\n0,0,1,0\n1,2,0.25,0\n")
+    assert main(["norm", str(f), "--a", "1.0"]) == 1
+    assert "(1, 2) appears more than once" in capsys.readouterr().err
+
+
+def test_cli_readers_build_no_multi_index(tmp_path, monkeypatch, capsys):
+    built = []
+    post_init = MultiIndex.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    modes = [[n1, n2, 1.0 / (1 + n1 * n1 + n2 * n2), 0.0] for n1 in range(-2, 3) for n2 in range(-2, 3)]
+    cfg = write_config(
+        tmp_path, dimension=2, phi={"modes": modes}, truncation_radius_sq=5,
+        source=[{"g": {"modes": modes}, "q": {"kind": "constant", "value": 1.0}}],
+    )
+    lines = ["n_1,re,im"] + [f"{n},{(1 + n * n) ** -0.5!r},0" for n in range(-1200, 1201)]
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(MultiIndex, "__post_init__", counting_post_init)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert main(["norm", str(coeffs), "--a", "0.2", "0.4", "0.6", "0.8"]) == 0
+    assert built == []
+    diag = json.loads((tmp_path / "run" / "diagnostics.json").read_text())
+    assert diag["real_valued"] is True and diag["n_modes_solved"] == 13
+    assert capsys.readouterr().out.strip().split("\n")[-1] == "critical_exponent,0.5"
 
 
 def test_solve_deterministic_bytes(tmp_path):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracspec import mlf, modal, solver
+from fracspec import mlf, modal, solver, spectra
 from fracspec.errors import (
     AliasError,
     ConvergenceError,
@@ -95,6 +95,42 @@ def test_problem_spec_validation():
         )
     spec = ProblemSpec(dimension=3, rho=0.5, T=1.0, phi="zero")
     assert spec.claimed_exponent == 3 / 2 + 1.0
+    # the data are converted at construction, so bad data fail here, not in solve
+    with pytest.raises(DomainError):
+        ProblemSpec(dimension=1, rho=0.5, T=1.0, phi="plancherel")
+    with pytest.raises(DomainError):
+        ProblemSpec(dimension=2, rho=0.5, T=1.0, phi=cos_field(1))
+    with pytest.raises(DomainError):
+        ProblemSpec(
+            dimension=1, rho=0.5, T=1.0, phi="zero",
+            source=((GridField(np.ones((5, 5))), TimeProfile.constant(1.0)),),
+        )
+    with pytest.raises(DomainError):
+        ProblemSpec(dimension=1, rho=0.5, T=1.0, phi=[1.0, 2.0])
+
+
+def test_problem_spec_converts_data_once(monkeypatch):
+    calls = []
+
+    def counting_analyze(g, k):
+        calls.append(k)
+        return spectra.analyze(g, k)
+
+    monkeypatch.setattr(solver, "analyze", counting_analyze)
+    x = GridField.axis_points(9)
+    grid = GridField(np.cos(x) + 0.25 * np.cos(3 * x))
+    spec = ProblemSpec(
+        dimension=1, rho=0.5, T=1.0, phi=grid,
+        source=(("constant", TimeProfile.constant(1.0)),),
+    )
+    assert calls == [17]  # the largest ball the 9-point grid resolves, |n| <= 4
+    assert isinstance(spec.phi, SpectralField) and isinstance(spec.source[0][0], SpectralField)
+    assert spec.phi.real_valued and spec.phi.get(3) == pytest.approx(0.125)
+    times = np.linspace(0.0, 1.0, 9)
+    sol = solve(spec, times, 10, 9)
+    residual(sol, spec, dt=1.0 / 8)
+    truncation_tail(spec, spec.claimed_exponent, 5, 1.0)
+    assert calls == [17]
 
 
 # --- solve oracles ---------------------------------------------------------------
@@ -584,6 +620,12 @@ def test_solve_and_residual_build_no_multi_index_per_mode(monkeypatch):
     report = residual(sol, spec, dt=1.0 / 8)
     assert len(sol.lam) == len(modes) == 121
     assert built == [report.per_mode_worst]
+    # mode_history builds its argument, and no view of the other modes
+    history = sol.mode_history((3, -5))
+    absent = sol.mode_history((7, 0))
+    assert [m.components for m in built] == [report.per_mode_worst.components, (3, -5), (7, 0)]
+    row = [m.components for m in modes].index((3, -5))
+    assert np.array_equal(history, sol.values[row]) and np.all(absent == 0.0)
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0])

@@ -216,6 +216,50 @@ def loop_radial_weight_sq(c):
     return np.sqrt(shells), np.bincount(member, weights=np.abs(vals[keep]) ** 2)
 
 
+def loop_fractional_power(c, tau):
+    entries = {}
+    for idx, val in c.items():
+        nsq = idx.norm_sq
+        if nsq == 0:
+            entries[idx] = 0j if tau > 0 else val
+        else:
+            entries[idx] = (float(nsq) ** tau) * val
+    return entries
+
+
+def loop_derivative_factor(idx, alpha, factor):
+    for comp, power in zip(idx.components, alpha.alpha):
+        factor *= (1j * comp) ** power
+    return factor
+
+
+def loop_derivative_symbol(c, alpha):
+    entries = {}
+    for idx, val in c.items():
+        factor = loop_derivative_factor(idx, alpha, complex(1.0))
+        if factor != 0:
+            entries[idx] = factor * val
+    return entries
+
+
+def loop_embedding_constant(fields, sigma, alpha, m):
+    best = 0.0
+    for g in fields:
+        weighted = {
+            idx: loop_derivative_factor(idx, alpha, complex((1.0 + idx.norm_sq) ** (-sigma))) * val
+            for idx, val in g.items()
+        }
+        wfield = SpectralField(weighted, g.truncation_radius_sq, dimension=g.dimension)
+        sup = float(np.max(np.abs(loop_synthesize(wfield, m))))
+        best = max(best, sup / math.sqrt(TWO_PI**g.dimension * g.coefficient_norm_sq()))
+    return best
+
+
+def assert_same_entries(got, want):
+    assert list(got.entries) == list(want)
+    assert np.array_equal(np.array(list(got.entries.values())), np.array(list(want.values())))
+
+
 @pytest.mark.parametrize("dim, k, m", [(1, 26, 11), (2, 20, 11), (3, 10, 9)])
 @pytest.mark.parametrize("real", [False, True])
 def test_array_transforms_match_entry_loops(dim, k, m, real):
@@ -238,6 +282,21 @@ def test_array_transforms_match_entry_loops(dim, k, m, real):
             assert liouville_norm_sq(fld, a) == loop_liouville_norm_sq(fld, a)
         for got, ref in zip(radial_weight_sq(fld), loop_radial_weight_sq(fld)):
             assert np.array_equal(got, ref)
+    centered = SpectralField({**back.entries, zero: 0j}, k, dimension=dim, real_valued=real)
+    alphas = [DerivMultiIndex(a) for a in np.ndindex((3,) * dim) if sum(a) <= 2]
+    for fld in (c, back, centered):
+        for tau in (-0.75, 0.5, 1.0, 1.3) if fld is centered else (0.5, 1.0, 1.3):
+            got = apply_fractional_power(fld, tau)
+            assert got.real_valued == real
+            assert_same_entries(got, loop_fractional_power(fld, tau))
+        for alpha in alphas:
+            assert_same_entries(apply_derivative_symbol(fld, alpha), loop_derivative_symbol(fld, alpha))
+    sigma = 1.0 + dim / 4.0 + 0.3
+    grid = max(4 * math.isqrt(k - 1) + 5, 33) | 1
+    for alpha in alphas:
+        assert embedding_constant([c, back], sigma, alpha) == loop_embedding_constant(
+            [c, back], sigma, alpha, grid
+        )
 
 
 def test_array_paths_build_no_multi_index(monkeypatch):
@@ -254,6 +313,9 @@ def test_array_paths_build_no_multi_index(monkeypatch):
     synthesize(c, 41)
     radial_weight_sq(c)
     liouville_norm_sq(c, 1.5)
+    apply_fractional_power(c, 0.5)
+    apply_derivative_symbol(c, DerivMultiIndex((1, 0, 1)))
+    embedding_constant([c], 2.0, DerivMultiIndex((0, 1, 0)), grid_points_per_axis=41)
     hl = hl_coefficients(2**10).field()
     holder_constant(hl, 2 * 2**10 + 3, 0.5)
     assert len(built) == 0
