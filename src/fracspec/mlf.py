@@ -36,16 +36,21 @@ exp(-s).  Branches are therefore routed on t and s:
   the wide zone, the model keeps to s in (5, 36).  Positivity of E makes
   the log form safe; other pairs (mu < rho, mu > 1, rho = 1) go through
   extended precision per point.
-* exact elementary cases (rho = 1, mu in {1, 2}, plus rho = 2 through
-  the wide entry) are evaluated in closed form.  No floating-point
-  branch reaches 1e-12 relative for E_{1,1}(-50) = e^{-50}, and the
-  solver's classical-limit oracle needs exactly that, so these report a
-  dedicated ``closed_form`` branch.
+* exact elementary cases (rho = 1, mu in {1, 2}) are evaluated in closed
+  form.  No floating-point branch reaches 1e-12 relative for
+  E_{1,1}(-50) = e^{-50}, and the solver's classical-limit oracle needs
+  exactly that, so these report a dedicated ``closed_form`` branch.
 
 Any element whose certified estimate still exceeds the target escalates
 to the extended-precision series (mpmath) with cancellation-aware digits;
 that valve is the only code that imports mpmath.  Chebyshev-model values
-report the ``extended_precision`` branch as well.  All functions are pure;
+report the ``extended_precision`` branch as well.
+
+Array inputs are routed and evaluated in blocks of at most 32,768 points
+(``_BLOCK_POINTS``), so that a million-point call makes its many passes per
+asymptotic term in L2 cache and holds temporaries for one block, not for the
+whole input.  Every branch stops per point, so blocking changes no bit of
+the values, estimates or branch codes.  All functions are pure;
 the Chebyshev cache is append-only and idempotent, so concurrent builds
 are safe (worst case, duplicated work).
 """
@@ -67,6 +72,7 @@ _LOG_PI = math.log(math.pi)
 
 TARGET_REL = 1e-10
 _S_ASYM = 36.0
+_BLOCK_POINTS = 32_768  # points routed and evaluated together; see _eval_many
 _ASYM_KMAX = 8192
 _SERIES_KMAX = 40000
 
@@ -121,27 +127,15 @@ def _closed_kind(rho: float, mu: float) -> int:
         return 1
     if rho == 1.0 and mu == 2.0:
         return 2
-    if rho == 2.0 and mu == 1.0:
-        return 3
-    if rho == 2.0 and mu == 2.0:
-        return 4
     return 0
 
 
 def _closed_many(kind: int, t: np.ndarray) -> np.ndarray:
     if kind == 1:
         return np.exp(-t)
-    if kind == 2:
-        out = np.ones_like(t)
-        nz = t > 0.0
-        out[nz] = -np.expm1(-t[nz]) / t[nz]
-        return out
-    r = np.sqrt(t)
-    if kind == 3:
-        return np.cos(r)
     out = np.ones_like(t)
-    nz = r > 0.0
-    out[nz] = np.sin(r[nz]) / r[nz]
+    nz = t > 0.0
+    out[nz] = -np.expm1(-t[nz]) / t[nz]
     return out
 
 
@@ -302,9 +296,7 @@ def _mp_value(rho: float, mu: float, t: float, dps: int):
 
 def _mp_eval(rho: float, mu: float, t: float):
     s_hard = t ** (1.0 / rho) if rho != 1.0 else t
-    # for rho > 1 the function itself decays like exp(s*cos(pi/rho)), so the
-    # dynamic range is up to twice the cancellation alone
-    digits = 0.4343 * s_hard * (2.0 if rho > 1.0 else 1.0)
+    digits = 0.4343 * s_hard
     if not math.isfinite(digits) or digits > 400.0:
         raise AccuracyError(
             f"cancellation beyond extended-precision budget (rho={rho}, t={t})"
@@ -456,7 +448,16 @@ def _cheb_many(model: _ChebModel, t: np.ndarray):
 
 
 def _eval_many(rho: float, mu: float, t: np.ndarray):
-    """Evaluate E_{rho,mu}(-t) elementwise: (values, est_rel_errors, branch codes)."""
+    """Evaluate E_{rho,mu}(-t) elementwise: (values, est_rel_errors, branch codes).
+
+    The flat input is routed and evaluated in blocks of at most
+    ``_BLOCK_POINTS`` points.  Each asymptotic term makes ~20 passes over its
+    points, so a million-point call run whole streams ~8 MB arrays from memory
+    on every pass and holds ~170 bytes of temporaries per point; a block keeps
+    those passes and the routing in L2 cache and bounds the temporaries by the
+    block.  Every branch is elementwise, each point stopping on its own, so
+    the result does not depend on the blocking.
+    """
     flat = np.asarray(t, dtype=float).ravel()
     if flat.size and (np.any(flat < 0.0) or not np.all(np.isfinite(flat))):
         raise DomainError("t must be finite and nonnegative")
@@ -464,8 +465,15 @@ def _eval_many(rho: float, mu: float, t: np.ndarray):
     vals = np.empty(n)
     ests = np.empty(n)
     codes = np.empty(n, dtype=np.int8)
+    for lo in range(0, n, _BLOCK_POINTS):
+        hi = lo + _BLOCK_POINTS
+        _eval_block(rho, mu, flat[lo:hi], vals[lo:hi], ests[lo:hi], codes[lo:hi])
+    return vals, ests, codes
 
-    zero = flat == 0.0
+
+def _eval_block(rho: float, mu: float, t: np.ndarray, vals, ests, codes) -> None:
+    """Route the points t and write their results into the views vals, ests, codes."""
+    zero = t == 0.0
     if zero.any():
         # libm gamma is exact at integers, so E(0) = 1 comes out exactly 1
         vals[zero] = 1.0 / math.gamma(mu)
@@ -474,16 +482,16 @@ def _eval_many(rho: float, mu: float, t: np.ndarray):
 
     rest = np.flatnonzero(~zero)
     if rest.size == 0:
-        return vals, ests, codes
+        return
 
     kind = _closed_kind(rho, mu)
     if kind:
-        vals[rest] = _closed_many(kind, flat[rest])
+        vals[rest] = _closed_many(kind, t[rest])
         ests[rest] = 4.0 * _EPS
         codes[rest] = _CLO
-        return vals, ests, codes
+        return
 
-    tr = flat[rest]
+    tr = t[rest]
     with np.errstate(over="ignore"):
         s_hard = tr ** (1.0 / rho)
     cut = _series_cut(mu)
@@ -529,15 +537,14 @@ def _eval_many(rho: float, mu: float, t: np.ndarray):
     # correctness valve: anything not certified re-runs at extended precision
     bad = np.flatnonzero(ests > TARGET_REL)
     for j in bad:
-        vals[j], ests[j] = _mp_eval(rho, mu, float(flat[j]))
+        vals[j], ests[j] = _mp_eval(rho, mu, float(t[j]))
         codes[j] = _EXT
     still = np.flatnonzero(ests > TARGET_REL)
     if still.size:
         j = int(still[0])
         raise AccuracyError(
-            f"no branch certifies {TARGET_REL:g} at rho={rho}, mu={mu}, t={flat[j]}"
+            f"no branch certifies {TARGET_REL:g} at rho={rho}, mu={mu}, t={t[j]}"
         )
-    return vals, ests, codes
 
 
 # --- public operations -------------------------------------------------------
@@ -567,36 +574,6 @@ def mlf_neg_array(params: MlfParams, t) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def branch_from_code(code: int) -> Branch:
     return _BRANCH_BY_CODE[int(code)]
-
-
-def mlf_neg_wide(rho: float, mu: float, t: float) -> EvalReport:
-    """Test-only entry admitting rho in (0, 2], for classical identities.
-
-    The solver range stays (0, 1]; this exists so that E_{2,1}(-t) = cos(sqrt t)
-    and friends can be exercised.  For rho > 1 the function oscillates, so no
-    positivity or monotonicity is implied, and routing is series/extended only.
-    """
-    if not (0.0 < rho <= 2.0) or not math.isfinite(rho):
-        raise DomainError(f"wide entry requires rho in (0, 2], got {rho}")
-    if not (mu > 0.0) or not math.isfinite(mu):
-        raise DomainError(f"mu must be positive, got {mu}")
-    if not (t >= 0.0) or not math.isfinite(t):
-        raise DomainError(f"t must be finite and nonnegative, got {t}")
-    if rho <= 1.0:
-        return mlf_neg(MlfParams(rho, mu), t)
-    if t == 0.0:
-        return EvalReport(1.0 / math.gamma(mu), 8.0 * _EPS, Branch.SERIES)
-    kind = _closed_kind(rho, mu)
-    if kind:
-        val = float(_closed_many(kind, np.array([t]))[0])
-        return EvalReport(val, 4.0 * _EPS, Branch.CLOSED_FORM)
-    s_hard = t ** (1.0 / rho)
-    if s_hard <= 12.0:
-        v, e = _series_many(rho, mu, np.array([t]))
-        if e[0] <= TARGET_REL:
-            return EvalReport(float(v[0]), float(e[0]), Branch.SERIES)
-    val, est = _mp_eval(rho, mu, t)
-    return EvalReport(val, est, Branch.EXTENDED_PRECISION)
 
 
 def mlf_kernel(rho: float, lam: float, xi: float) -> float:

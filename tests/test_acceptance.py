@@ -30,7 +30,6 @@ from fracspec.mlf import (
     mlf_kernel_array,
     mlf_neg,
     mlf_neg_array,
-    mlf_neg_wide,
 )
 from fracspec.modal import TimeProfile
 from fracspec.solver import ProblemSpec, residual, solve
@@ -43,6 +42,7 @@ from fracspec.spectra import (
     modes_within,
     synthesize,
 )
+from mlf_wide import mlf_neg_wide
 
 
 def test_criterion_01_mlf_identity_suite():

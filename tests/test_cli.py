@@ -105,7 +105,8 @@ def test_solve_heat_limit_csv(tmp_path, capsys):
     cfg = write_config(tmp_path, rho=1.0)
     out = tmp_path / "run"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out / "solution.csv")))
+    with open(out / "solution.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert rows, "solution.csv has no data rows"
     worst = max(
         abs(float(r["re_u"]) - math.exp(-float(r["t"])) * math.cos(float(r["x_1"])))
@@ -123,7 +124,8 @@ def test_solve_constant_source_csv(tmp_path):
     )
     out = tmp_path / "run"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out / "solution.csv")))
+    with open(out / "solution.csv") as fh:
+        rows = list(csv.DictReader(fh))
     for r in rows:
         t = float(r["t"])
         assert float(r["re_u"]) == pytest.approx(
@@ -240,7 +242,7 @@ def test_solve_config_errors(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["solve", "--config", str(bad)]) == 1
     missing = write_config(tmp_path, "missing.json")
-    data = json.loads(open(missing).read())
+    data = json.loads(Path(missing).read_text())
     del data["rho"]
     (tmp_path / "missing.json").write_text(json.dumps(data))
     assert main(["solve", "--config", missing]) == 1

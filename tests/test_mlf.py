@@ -9,6 +9,7 @@ switch to the inverse-power expansion with a remainder assertion.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from scipy.integrate import quad
 
 from fracspec import mlf
 from fracspec.errors import AccuracyError, DomainError
+from mlf_wide import mlf_neg_wide
 
 
 def mlf_reference(rho: float, mu: float, t: float) -> float:
@@ -168,6 +170,77 @@ def test_array_interface_matches_scalar():
         assert mlf.branch_from_code(codes[i]) is rep.branch
 
 
+def blocking_probe_points():
+    """Zeros plus t from the series zone through the model to the asymptotic one, shuffled."""
+    ts = np.concatenate([np.zeros(3), np.geomspace(1e-3, 1e4, 57)])
+    np.random.default_rng(0).shuffle(ts)
+    return ts
+
+
+@pytest.mark.parametrize(
+    "rho, mu",
+    [(0.5, 1.0), (0.7, 0.7), (0.2, 0.2), (0.995, 1.0), (1.0, 1.0), (0.5, 1.3)],
+)
+def test_blocked_evaluation_is_bitwise_one_block(monkeypatch, rho, mu):
+    # every branch stops per point, so splitting the input into blocks of 7
+    # changes no bit of any value, estimate or code
+    params = mlf.MlfParams(rho, mu)
+    ts = blocking_probe_points()
+    whole = mlf.mlf_neg_array(params, ts)
+    monkeypatch.setattr(mlf, "_BLOCK_POINTS", 7)
+    blocked = mlf.mlf_neg_array(params, ts)
+    for a, b in zip(whole, blocked):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    # zeros report the series; off the contract (mu = 1.3) the gap zone goes
+    # point by point to extended precision, on it to the Chebyshev model
+    if (rho, mu) == (1.0, 1.0):
+        expected = {mlf._SER, mlf._CLO}
+    else:
+        expected = {mlf._SER, mlf._ASY, mlf._EXT}
+    assert set(whole[2].tolist()) == expected
+
+
+def test_blocked_evaluation_raises_same_accuracy_error(monkeypatch):
+    # the asymptotic estimate is inflated for t > 1e6 so the valve escalates
+    # those points, and s = t**2 is far past the extended-precision budget:
+    # the first such point must name itself, blocked or not
+    real = mlf._asym_many
+
+    def uncertified_far(rho, mu, t):
+        v, e = real(rho, mu, t)
+        return v, np.where(t > 1e6, 1.0, e)
+
+    monkeypatch.setattr(mlf, "_asym_many", uncertified_far)
+    ts = blocking_probe_points()
+    ts = np.concatenate([ts[:30], [3e7], ts[30:], [2e7]])
+    params = mlf.MlfParams(0.5, 1.0)
+    with pytest.raises(AccuracyError) as whole:
+        mlf.mlf_neg_array(params, ts)
+    monkeypatch.setattr(mlf, "_BLOCK_POINTS", 7)
+    with pytest.raises(AccuracyError) as blocked:
+        mlf.mlf_neg_array(params, ts)
+    assert str(whole.value) == str(blocked.value)
+    assert str(blocked.value) == (
+        "cancellation beyond extended-precision budget (rho=0.5, t=30000000.0)"
+    )
+
+
+def test_million_point_call_temporaries_stay_per_block():
+    # ~17 MB is the result itself; the unblocked evaluator peaked at ~130 MB here
+    ts = np.geomspace(1e-3, 1e8, 10**6)
+    params = mlf.MlfParams(0.5, 1.0)
+    mlf.mlf_neg_array(params, ts[:10])  # the Chebyshev model is cached outside the trace
+    tracemalloc.start()
+    try:
+        result = mlf.mlf_neg_array(params, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result[0].shape == ts.shape
+    assert peak < 48e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_cheb_build_uses_no_mpmath(monkeypatch):
     # the gap-zone model comes from a double-precision integral; mpmath is
     # only the escalation valve
@@ -229,7 +302,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         mlf.mlf_kernel_primitive(0.5, 1.0, -0.1, 1.0)
     with pytest.raises(DomainError):
-        mlf.mlf_neg_wide(2.3, 1.0, 1.0)
+        mlf_neg_wide(2.3, 1.0, 1.0)
     with pytest.raises(DomainError):
         mlf.check_decay_bound(mlf.MlfParams(0.5, 1.0), [])
 
@@ -351,16 +424,16 @@ def test_kernel_cumulative_array_lam_matches_scalar_calls():
 
 
 def test_wide_entry_classical_identities():
-    r = mlf.mlf_neg_wide(2.0, 1.0, 2.3)
+    r = mlf_neg_wide(2.0, 1.0, 2.3)
     assert r.value == pytest.approx(math.cos(math.sqrt(2.3)), rel=1e-13)
     assert r.branch is mlf.Branch.CLOSED_FORM
-    r = mlf.mlf_neg_wide(2.0, 2.0, 2.3)
+    r = mlf_neg_wide(2.0, 2.0, 2.3)
     assert r.value == pytest.approx(math.sin(math.sqrt(2.3)) / math.sqrt(2.3), rel=1e-13)
     # generic order above one against the reference series
-    r = mlf.mlf_neg_wide(1.5, 1.0, 4.0)
+    r = mlf_neg_wide(1.5, 1.0, 4.0)
     assert r.value == pytest.approx(mlf_reference(1.5, 1.0, 4.0), rel=1e-9)
     # delegates to the standard path at or below one
-    r = mlf.mlf_neg_wide(0.5, 1.0, 1.0)
+    r = mlf_neg_wide(0.5, 1.0, 1.0)
     assert r.value == pytest.approx(float(MLF_ORACLE[0][3]), rel=1e-10)
 
 
