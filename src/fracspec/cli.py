@@ -92,79 +92,109 @@ def _parse_profile(obj) -> TimeProfile:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("time profile spec must be an object with a 'kind'")
     kind = obj["kind"]
-    if kind == "constant":
-        return TimeProfile.constant(_parse_scalar(obj.get("value", 1.0)))
-    if kind == "polynomial":
-        return TimeProfile.polynomial([_parse_scalar(c) for c in obj["coeffs"]])
-    if kind == "cosine":
-        return TimeProfile.cosine(float(obj["omega"]), float(obj.get("phase", 0.0)))
-    if kind == "exponential":
-        return TimeProfile.exponential(float(obj["rate"]))
-    if kind == "sampled":
-        return TimeProfile.sampled(
-            [float(t) for t in obj["nodes"]],
-            [_parse_scalar(v) for v in obj["values"]],
-        )
+    try:
+        if kind == "constant":
+            return TimeProfile.constant(_parse_scalar(obj.get("value", 1.0)))
+        if kind == "polynomial":
+            return TimeProfile.polynomial([_parse_scalar(c) for c in obj["coeffs"]])
+        if kind == "cosine":
+            return TimeProfile.cosine(_number(obj, "omega"), _number(obj, "phase", default=0.0))
+        if kind == "exponential":
+            return TimeProfile.exponential(_number(obj, "rate"))
+        if kind == "sampled":
+            return TimeProfile.sampled(
+                [float(t) for t in obj["nodes"]],
+                [_parse_scalar(v) for v in obj["values"]],
+            )
+    except KeyError as missing:
+        raise ConfigError(f"time profile {kind!r} lacks required key {missing}") from None
     raise ConfigError(f"unknown time profile kind {kind!r}")
 
 
 def _parse_scalar(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        if len(v) != 2:
-            raise ConfigError(f"complex scalar needs [re, im], got {v}")
-        return complex(float(v[0]), float(v[1]))
-    return complex(float(v))
+    parts = v if isinstance(v, (list, tuple)) else (v, 0.0)
+    if len(parts) != 2:
+        raise ConfigError(f"complex scalar needs [re, im], got {v}")
+    try:
+        return complex(float(parts[0]), float(parts[1]))
+    except (TypeError, ValueError):
+        raise ConfigError(f"scalar must be a number or [re, im], got {v!r}") from None
+
+
+def _number(raw: dict, key: str, kind=float, default=...):
+    """raw[key] as a float, or an int for kind=int; default when absent (the key
+    is required without one), None when null.  A missing key, a non-number or
+    a count that is not whole (2.7 is not truncated) raises ConfigError naming it.
+    """
+    val = raw.get(key, default)
+    if val is ...:
+        raise ConfigError(f"config lacks required key {key!r}")
+    if val is None:
+        return None
+    try:
+        num = float(val)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number, got {val!r}") from None
+    if kind is float:
+        return num
+    if not num.is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {val!r}")
+    return val if type(val) is int else int(num)
 
 
 class RunConfig:
-    """Resolved run parameters: a ProblemSpec plus numerics and output policy."""
+    """Resolved run parameters: a ProblemSpec plus numerics and output policy.
+
+    Every numeric key is read by _number, after the command-line overrides.
+    """
+
+    # command-line flags and the config keys they override
+    _FLAGS = {
+        "truncation": "truncation_radius_sq", "grid": "grid_M", "dt": "dt", "workers": "workers"
+    }
 
     def __init__(self, raw: dict, args):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        try:
-            self.dimension = int(raw["dimension"])
-            rho = float(raw["rho"])
-            horizon = float(raw["T"])
-        except KeyError as missing:
-            raise ConfigError(f"config lacks required key {missing}") from None
+        self.dimension = _number(raw, "dimension", int)
+        rho, horizon = _number(raw, "rho"), _number(raw, "T")
         phi = _parse_field(raw.get("phi", {"builtin": "zero"}), self.dimension)
-        source = tuple(
-            (_parse_field(item["g"], self.dimension), _parse_profile(item["q"]))
-            for item in raw.get("source", [])
-        )
+        source = []
+        for item in raw.get("source", []):
+            if not isinstance(item, dict) or not {"g", "q"} <= item.keys():
+                raise ConfigError("each source item needs a field 'g' and a time profile 'q'")
+            source.append((_parse_field(item["g"], self.dimension), _parse_profile(item["q"])))
         self.spec = ProblemSpec(
             dimension=self.dimension,
             rho=rho,
             T=horizon,
             phi=phi,
-            source=source,
-            regularity_exponent_a=raw.get("regularity_exponent_a"),
+            source=tuple(source),
+            regularity_exponent_a=_number(raw, "regularity_exponent_a", default=None),
         )
-        self.truncation_radius_sq = int(
-            _override(args, "truncation", raw.get("truncation_radius_sq", 2))
-        )
-        self.grid_M = int(_override(args, "grid", raw.get("grid_M", 9)))
-        self.dt = float(_override(args, "dt", raw.get("dt", horizon / 64)))
-        self.mesh_M = int(raw.get("mesh_M", 256))
-        self.grading_r = raw.get("grading_r")
-        if self.grading_r is not None:
-            self.grading_r = float(self.grading_r)
-        self.tolerance = raw.get("tolerance")
-        if self.tolerance is not None:
-            self.tolerance = float(self.tolerance)
-        self.strict = bool(raw.get("strict", False)) or bool(
-            getattr(args, "strict", False)
-        )
-        self.workers = _resolve_workers(args, raw)
+        raw = dict(raw)
+        for flag, key in self._FLAGS.items():
+            if getattr(args, flag, None) is not None:
+                raw[key] = getattr(args, flag)
+        self.truncation_radius_sq = _number(raw, "truncation_radius_sq", int, 2)
+        self.grid_M = _number(raw, "grid_M", int, 9)
+        self.dt = _number(raw, "dt", default=horizon / 64)
+        self.mesh_M = _number(raw, "mesh_M", int, 256)
+        self.grading_r = _number(raw, "grading_r", default=None)
+        self.tolerance = _number(raw, "tolerance", default=None)
+        self.strict = bool(raw.get("strict", False)) or bool(getattr(args, "strict", False))
+        self.workers = _number(raw, "workers", int, None)
+        if self.workers is None and os.environ.get("FRACSPEC_WORKERS"):
+            self.workers = _number(os.environ, "FRACSPEC_WORKERS", int)
 
         for name, val in (
             ("truncation_radius_sq", self.truncation_radius_sq),
             ("grid_M", self.grid_M),
             ("dt", self.dt),
             ("mesh_M", self.mesh_M),
+            ("workers", 1 if self.workers is None else self.workers),
         ):
-            if val <= 0:
+            if not val > 0:
                 raise ConfigError(f"{name} must be positive, got {val}")
         if self.grid_M % 2 == 0:
             raise ConfigError(f"grid_M must be odd, got {self.grid_M}")
@@ -174,7 +204,10 @@ class RunConfig:
                 f"dt = {self.dt} must divide the horizon T = {horizon} evenly"
             )
         if raw.get("times") is not None:
-            self.times = np.asarray([float(t) for t in raw["times"]], dtype=float)
+            try:
+                self.times = np.asarray([float(t) for t in raw["times"]], dtype=float)
+            except (TypeError, ValueError):
+                raise ConfigError(f"times must be numbers, got {raw['times']!r}") from None
         else:
             self.times = self.dt * np.arange(steps + 1)
 
@@ -196,29 +229,6 @@ class RunConfig:
             "times": [float(t) for t in self.times],
             "n_source_terms": len(self.spec.source),
         }
-
-
-def _override(args, name, fallback):
-    val = getattr(args, name, None)
-    return fallback if val is None else val
-
-
-def _resolve_workers(args, raw: dict):
-    w = getattr(args, "workers", None)
-    if w is None:
-        w = raw.get("workers")
-    if w is None:
-        env = os.environ.get("FRACSPEC_WORKERS")
-        if env:
-            try:
-                w = int(env)
-            except ValueError:
-                raise ConfigError(
-                    f"FRACSPEC_WORKERS must be an integer, got {env!r}"
-                ) from None
-    if w is not None and int(w) < 1:
-        raise ConfigError(f"worker count must be >= 1, got {w}")
-    return None if w is None else int(w)
 
 
 def _load_config(args) -> RunConfig:
@@ -343,12 +353,7 @@ def cmd_residual(args) -> int:
     sup1, sup2 = reports[0].sup_residual, reports[1].sup_residual
     scale = _data_scale(cfg)
     exact = sup1 <= 1e-12 * max(scale, 1e-30) and sup2 <= 1e-12 * max(scale, 1e-30)
-    if exact:
-        rate = math.inf
-    elif sup2 == 0.0:
-        rate = math.inf
-    else:
-        rate = math.log2(sup1 / sup2) if sup1 > 0 else math.inf
+    rate = math.log2(sup1 / sup2) if not exact and sup1 > 0 and sup2 > 0 else math.inf
     payload = {
         "config": cfg.echo(),
         "dt": reports[0].dt,

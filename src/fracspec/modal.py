@@ -419,37 +419,32 @@ def _l1_weights(rho: float, count: int) -> np.ndarray:
     return (j + 1.0) ** (1.0 - rho) - j ** (1.0 - rho)
 
 
-def _conv_full_prefix(d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """First len(d) entries of the full convolution d * b."""
-    n = d.size
-    if n <= 4096:
-        return np.convolve(d, b)[:n]
-    size = 1
-    while size < 2 * n:
-        size *= 2
-    return (np.fft.ifft(np.fft.fft(d, size) * np.fft.fft(b, size)))[:n]
-
-
 def caputo_l1(h, rho: float, dt: float) -> np.ndarray:
     """L1 discretization of the Caputo derivative on a uniform grid.
 
-    Input: samples h(0), h(dt), ..., h(n dt).  Output: derivative values at
-    t = dt, ..., n dt (length n).  Exact for piecewise-linear h; O(dt^{2-rho})
-    for twice-differentiable h.
+    Input: samples h(0), h(dt), ..., h(n dt) along the last axis (one history,
+    or histories x times).  Output: derivative values at t = dt, ..., n dt
+    along that axis, real when every sample is.  Exact for piecewise-linear h;
+    O(dt^{2-rho}) for twice-differentiable h.  All histories share one real FFT
+    convolution with the L1 weights, real and imaginary parts apart, so a
+    history gets the same values alone as in a batch.
     """
     if not (0.0 < rho < 1.0):
         raise DomainError(f"the L1 scheme needs rho in (0, 1), got {rho}")
     if not (dt > 0.0) or not math.isfinite(dt):
         raise DomainError(f"dt must be positive and finite, got {dt}")
-    hv = np.asarray(h, dtype=complex).ravel()
-    if hv.size < 2:
+    hv = np.asarray(h, dtype=complex)
+    if hv.ndim == 0 or hv.shape[-1] < 2:
         raise DomainError("need at least two samples")
-    d = np.diff(hv)
-    b = _l1_weights(rho, d.size)
-    out = _conv_full_prefix(d, b) * (dt ** (-rho) / math.gamma(2.0 - rho))
+    d = np.diff(hv, axis=-1)
+    n = d.shape[-1]
+    size = 1 << (2 * n - 1).bit_length()  # a power of two >= 2n: no wrap-around
+    kernel = np.fft.rfft(_l1_weights(rho, n), size)
+    parts = np.fft.irfft(np.fft.rfft(np.stack([d.real, d.imag]), size) * kernel, size)
+    re, im = parts[..., :n] * (dt ** (-rho) / math.gamma(2.0 - rho))
     if np.all(hv.imag == 0.0):
-        return out.real.copy()
-    return out
+        return re
+    return re + 1j * im
 
 
 def riemann_liouville_l1(h, rho: float, dt: float) -> np.ndarray:
@@ -459,9 +454,9 @@ def riemann_liouville_l1(h, rho: float, dt: float) -> np.ndarray:
     is never evaluated.
     """
     base = caputo_l1(h, rho, dt)
-    hv = np.asarray(h, dtype=complex).ravel()
-    m = np.arange(1, hv.size)
-    corr = hv[0] * (m * dt) ** (-rho) / math.gamma(1.0 - rho)
+    hv = np.asarray(h, dtype=complex)
+    m = np.arange(1, hv.shape[-1])
+    corr = hv[..., :1] * (m * dt) ** (-rho) / math.gamma(1.0 - rho)
     if base.dtype != complex:
         return base + corr.real
     return base + corr

@@ -4,17 +4,18 @@ The field u(x, t) = sum over retained modes of w_n(t) e^{i n.x} is assembled
 from scalar mode problems (lam = |n|^2).  ProblemSpec converts its initial
 datum and each source factor to an array-backed SpectralField once, when it
 is built (a builtin name by builtin_field, a GridField by analyze), and no
-later step converts them again.  solve gathers the modes with
-nonzero data from the truncated fields' index arrays and hands them all to
-modal.solve_shells, which shares the Mittag-Leffler values, kernel moments
-and source convolutions within each eigenvalue shell.  A SolutionField
-stores the result as arrays (index matrix, values matrix, per-mode vectors),
-and everything downstream works on them without a per-mode object or a
-MultiIndex mapping (that view is built only when a caller asks): applying
-the spatial operator multiplies a mode history by |n|^2, the fractional time
-derivative acts per mode through the L1 scheme, and residuals are
-synthesized back onto the grid, every time slice of a block in one batched
-inverse FFT.
+later step converts them again.  One table of the modes with nonzero
+data inside the truncation ball, with their phi and source weights, is read
+from the fields' index arrays for solve and again for residual; solve hands
+it to modal.solve_shells, which shares the Mittag-Leffler values, kernel
+moments and source convolutions within each eigenvalue shell.  A
+SolutionField stores the result as arrays (index matrix, values matrix,
+per-mode vectors), and everything downstream works on them without a
+per-mode object, a MultiIndex mapping (built only when a caller asks) or a
+rebuilt SpectralField: applying the spatial operator multiplies a mode
+history by |n|^2, the fractional time derivative of every history is one
+batched L1 call, and grid_at and the residuals synthesize straight from the
+arrays, every time slice of a residual block in one batched inverse FFT.
 
 Two diagnostics frame the truncation: a regularity gate on the claimed
 smoothness exponent (advisory by default, enforced in strict mode), which
@@ -51,7 +52,6 @@ from .spectra import (
     as_multi_index,
     radial_weight_sq,
     require_alias_free,
-    synthesize,
     tail_verdicts,
 )
 
@@ -157,31 +157,36 @@ def _as_spectral(obj, dimension: int) -> SpectralField:
     raise DomainError(f"cannot interpret {type(obj).__name__} as initial/source data")
 
 
-def _truncate(c: SpectralField, truncation_radius_sq: int) -> SpectralField:
-    keep = _norm_sq(c._index) < truncation_radius_sq
-    return SpectralField.from_arrays(
-        c._index[keep], c._values[keep], truncation_radius_sq, real_valued=c.real_valued
-    )
-
-
-def _coefficient_table(fields, dimension: int, rows=None):
-    """Each field's coefficients on a common set of rows, 0 where a field has none.
-
-    The rows are the given (distinct) index matrix, or else every row held
-    by any of the fields, in modes_within (lexicographic) order.  Returns
-    (rows, table) with table[f, r] the coefficient of field f on row r.
+def _coefficient_table(fields, dimension: int, k: int, inside: bool):
+    """(rows, table): the rows any field holds inside the ball |n|^2 < k (inside)
+    or on and beyond it (not inside), in modes_within (lexicographic) order,
+    and table[f, r] the coefficient of field f on row r, 0 where it has none.
     """
-    given = np.zeros((0, dimension), dtype=np.int64) if rows is None else rows
-    stacked = np.concatenate([given] + [f._index for f in fields]).reshape(-1, dimension)
+    masks = [(_norm_sq(f._index) < k) == inside for f in fields]
+    stacked = np.concatenate([f._index[m] for f, m in zip(fields, masks)]).reshape(-1, dimension)
     union, where = np.unique(stacked, axis=0, return_inverse=True)
     table = np.zeros((len(fields), len(union)), dtype=complex)
-    start = len(given)
-    for row, f in zip(table, fields):
-        row[where[start : start + len(f)]] = f._values
-        start += len(f)
-    if rows is None:
-        return union, table
-    return rows, table[:, where[: len(rows)]]
+    start = 0
+    for row, f, m in zip(table, fields, masks):
+        values = f._values[m]
+        row[where[start : start + len(values)]] = values
+        start += len(values)
+    return union, table
+
+
+def _solved_modes(spec: ProblemSpec, k: int):
+    """The modes a solve at radius k carries: (index, phi, weights).
+
+    index holds every row of the ball |n|^2 < k where phi or a source factor
+    with a nonzero profile has a nonzero coefficient, in lexicographic order;
+    phi[r] and weights[r, i] = g_i[n_r] are the data of row r.
+    """
+    fields = [spec.phi] + [g for g, _q in spec.source]
+    index, table = _coefficient_table(fields, spec.dimension, k, inside=True)
+    weights = table[1:].T
+    live = [not q.is_zero for _g, q in spec.source]
+    keep = (table[0] != 0.0) | np.any(weights[:, live] != 0.0, axis=1)
+    return index[keep], table[0][keep], weights[keep]
 
 
 # --- regularity gate ------------------------------------------------------------
@@ -219,9 +224,10 @@ class SolutionField:
     Row i of the int64 index matrix (modes x N) is mode n_i, in modes_within
     (lexicographic) order.  values[i] is its trajectory at times, phi[i] its
     initial coefficient, lam[i] = |n_i|^2, and quadrature_error_est[i] the
-    mesh discrepancy of its convolution.  The arrays are read-only.
-    mode_solutions, and its alias modes, is a read-only MultiIndex ->
-    ModeSolution view in the same order, built on first use.
+    mesh discrepancy of its convolution, whose maximum is max_quadrature_error.
+    The arrays are read-only.  grid_at synthesizes a time slice straight from
+    index and values.  mode_solutions, and its alias modes, is a read-only
+    MultiIndex -> ModeSolution view in the same order, built on first use.
     """
 
     dimension: int
@@ -231,7 +237,6 @@ class SolutionField:
     truncation_radius_sq: int
     grid_M: int
     real_valued: bool
-    max_quadrature_error: float
     index: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
@@ -265,6 +270,10 @@ class SolutionField:
     def modes(self):
         return self.mode_solutions
 
+    @property
+    def max_quadrature_error(self) -> float:
+        return float(np.max(self.quadrature_error_est, initial=0.0))
+
     def spectral_at(self, time_index: int) -> SpectralField:
         return SpectralField.from_arrays(
             self.index,
@@ -275,7 +284,10 @@ class SolutionField:
 
     def grid_at(self, time_index: int, points_per_axis: int | None = None) -> GridField:
         m = self.grid_M if points_per_axis is None else int(points_per_axis)
-        return synthesize(self.spectral_at(time_index), m)
+        samples = _synthesize_rows(
+            self.index, self.values[None, :, time_index], self.truncation_radius_sq, m
+        )[0]
+        return GridField(samples.real.astype(complex) if self.real_valued else samples)
 
     def mode_history(self, n) -> np.ndarray:
         idx = as_multi_index(n, self.dimension)
@@ -313,7 +325,6 @@ def solve(
     """
     k = int(truncation_radius_sq)
     require_alias_free(k, grid_M)
-    n_dim = spec.dimension
 
     failures = check_hypothesis(spec, spec.phi, spec.source)
     if failures:
@@ -324,13 +335,8 @@ def solve(
 
     # solve_shells checks the times (a 1-d, sorted, nonempty sequence in [0, T])
     times_arr = np.asarray(times, dtype=float)
-    fields = [_truncate(spec.phi, k)] + [_truncate(g, k) for g, _q in spec.source]
-    index, table = _coefficient_table(fields, n_dim)
+    index, phi, weights = _solved_modes(spec, k)
     profiles = [q for _g, q in spec.source]
-    weights = table[1:].T
-    live = [not q.is_zero for q in profiles]
-    keep = (table[0] != 0.0) | np.any(weights[:, live] != 0.0, axis=1)
-    index, phi, weights = index[keep], table[0][keep], weights[keep]
     lam = _norm_sq(index).astype(float)
 
     mesh_r = default_grading(spec.rho) if grading_r is None else float(grading_r)
@@ -371,14 +377,13 @@ def solve(
 
     real = spec.phi.real_valued and all(g.real_valued and q.is_real for g, q in spec.source)
     return SolutionField(
-        dimension=n_dim,
+        dimension=spec.dimension,
         rho=spec.rho,
         T=spec.T,
         times=tuple(float(t) for t in times_arr),
         truncation_radius_sq=k,
         grid_M=int(grid_M),
         real_valued=real,
-        max_quadrature_error=float(np.max(est, initial=0.0)),
         index=index,
         phi=phi,
         lam=lam,
@@ -406,23 +411,21 @@ def _uniform_dt(times: tuple) -> float:
 def apply_termwise(sol: SolutionField, which: str) -> SolutionField:
     """Apply the spatial operator or the fractional time derivative per mode.
 
-    which = "A": multiplies each mode history by |n|^2 (exact, per time slice).
-    which = "caputo": applies the uniform-grid L1 derivative to each history;
-    the result lives on times[1:].  Raises MeshError off uniform grids.
+    which = "A": multiplies each mode history, and its quadrature estimate, by
+    |n|^2 (exact, per time slice).
+    which = "caputo": applies the uniform-grid L1 derivative to every history
+    in one caputo_l1 call; the result lives on times[1:].  Raises MeshError
+    off uniform grids.
     """
     if which == "A":
         return replace(
             sol,
-            max_quadrature_error=float(np.max(sol.lam, initial=0.0)) * sol.max_quadrature_error,
             phi=sol.lam * sol.phi,
             values=sol.lam[:, None] * sol.values,
             quadrature_error_est=sol.lam * sol.quadrature_error_est,
         )
     if which == "caputo":
-        dt = _uniform_dt(sol.times)
-        dv = np.zeros((len(sol.lam), len(sol.times) - 1), dtype=complex)
-        for row, w in zip(dv, sol.values):
-            row[:] = caputo_l1(w, sol.rho, dt)
+        dv = caputo_l1(sol.values, sol.rho, _uniform_dt(sol.times)).astype(complex)
         return replace(sol, times=sol.times[1:], phi=dv[:, 0], values=dv)
     raise DomainError(f"operator must be 'A' or 'caputo', got {which!r}")
 
@@ -449,9 +452,11 @@ class ResidualReport:
 def residual(sol: SolutionField, spec: ProblemSpec, dt: float) -> ResidualReport:
     """Sup of |D^rho u + A u - f| over the grid and times in [0.05 T, T].
 
-    The fractional derivative acts per mode via the L1 scheme (backward
-    second-order centered differencing in the classical limit rho = 1), A is
-    exact per mode, and f uses the same truncation the solve used.  The
+    Works on the solution's arrays: the fractional derivative of every mode
+    history is one caputo_l1 call (second-order centered differencing in the
+    classical limit rho = 1), A is exact per mode, and f is formed on the
+    modes the solve carried, taken from spec as solve takes them; a solution
+    whose modes or initial values are not those raises DomainError.  The
     initial layer t < 0.05 T is reported separately; the initial-condition
     mismatch is measured on the grid at t = 0.
     """
@@ -463,9 +468,12 @@ def residual(sol: SolutionField, spec: ProblemSpec, dt: float) -> ResidualReport
     horizon = times[-1]
 
     k = sol.truncation_radius_sq
+    index, phi, weights = _solved_modes(spec, k)
+    if not (np.array_equal(index, sol.index) and np.array_equal(phi, sol.phi)):
+        raise DomainError("the solution was not solved from this problem at its truncation")
     if sol.rho < 1.0:
         eval_times = times[1:]
-        dw = apply_termwise(sol, "caputo").values
+        dw = caputo_l1(sol.values, sol.rho, dt)
         w_eval = sol.values[:, 1:]
     else:
         eval_times = times[1:n]
@@ -474,9 +482,7 @@ def residual(sol: SolutionField, spec: ProblemSpec, dt: float) -> ResidualReport
     rows = dw + sol.lam[:, None] * w_eval
     if spec.source:
         # each mode's source, sum_i g_i[n] q_i(t), as one product over the modes
-        fields = [_truncate(g, k) for g, _q in spec.source]
-        _, table = _coefficient_table(fields, spec.dimension, sol.index)
-        rows -= table.T @ np.array([q(eval_times) for _g, q in spec.source])
+        rows -= weights @ np.array([q(eval_times) for _g, q in spec.source])
 
     keep = eval_times >= 0.05 * horizon
     grid_axes = tuple(range(1, spec.dimension + 1))
@@ -488,21 +494,14 @@ def residual(sol: SolutionField, spec: ProblemSpec, dt: float) -> ResidualReport
     sup_body = float(np.max(amps[keep], initial=0.0))
     sup_layer = float(np.max(amps[~keep], initial=0.0))
 
-    if len(sol.lam):
-        per_mode = np.max(np.abs(rows[:, keep]), axis=1) if np.any(keep) else np.max(
-            np.abs(rows), axis=1
-        )
-        worst = MultiIndex(tuple(sol.index[int(np.argmax(per_mode))].tolist()))
-    else:
-        worst = MultiIndex((0,) * spec.dimension)
+    per_mode = np.max(np.abs(rows[:, keep] if np.any(keep) else rows), axis=1)
+    worst = sol.index[np.argmax(per_mode)] if per_mode.size else np.zeros(spec.dimension, int)
+    worst = MultiIndex(tuple(worst.tolist()))
 
-    if times[0] == 0.0:
-        phi_t = _truncate(spec.phi, k)
-        u0 = sol.grid_at(0).samples
-        p0 = synthesize(phi_t, sol.grid_M).samples
-        init_err = float(np.max(np.abs(u0 - p0)))
-    else:
-        init_err = math.nan
+    # _uniform_dt has checked that the times start at t = 0
+    p0 = _synthesize_rows(index, phi[None], k, sol.grid_M)[0]
+    p0 = p0.real if spec.phi.real_valued else p0
+    init_err = float(np.max(np.abs(sol.grid_at(0).samples - p0)))
 
     tails = _tail_parts(spec, spec.claimed_exponent, k, horizon)
     return ResidualReport(
@@ -533,14 +532,13 @@ def _tail_parts(spec: ProblemSpec, a: float, truncation_radius_sq: int, t: float
 
     src_part = 0.0
     if spec.source:
-        index, table = _coefficient_table([g for g, _q in spec.source], spec.dimension)
-        norm_sq = _norm_sq(index)
-        tail = norm_sq >= k
+        fields = [g for g, _q in spec.source]
+        index, table = _coefficient_table(fields, spec.dimension, k, inside=False)
         probe = np.linspace(0.0, spec.T, 65)
-        sources = table[:, tail].T @ np.array([q(probe) for _g, q in spec.source])
+        sources = table.T @ np.array([q(probe) for _g, q in spec.source])
         peaks = np.max(np.abs(sources), axis=1, initial=0.0)
         src_part = sum(
-            float(n) ** a * p**2 for n, p in zip(norm_sq[tail].tolist(), peaks.tolist())
+            float(n) ** a * p**2 for n, p in zip(_norm_sq(index).tolist(), peaks.tolist())
         )
     return (float(phi_part), float(src_part))
 

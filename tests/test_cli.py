@@ -253,6 +253,27 @@ def test_solve_config_errors(tmp_path, capsys):
     assert main(["solve", "--config", ragged]) == 1
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"workers": "two"}, "workers"),
+        ({"workers": 2.7}, "workers"),  # a count is never truncated
+        ({"mesh_M": "lots"}, "mesh_M"),
+        ({"dimension": "one"}, "dimension"),
+        ({"tolerance": [1]}, "tolerance"),
+        ({"grid_M": 9.5}, "grid_M"),
+        ({"source": [{"g": {"builtin": "cosine_mode"}}]}, "'q'"),
+        ({"source": [{"g": {"builtin": "cosine_mode"}, "q": {"kind": "cosine"}}]}, "'omega'"),
+        ({"times": [0.0, "late"]}, "times"),
+    ],
+)
+def test_malformed_config_values_are_config_errors(tmp_path, capsys, overrides, key):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+
+
 def test_workers_env_fallback(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     monkeypatch.setenv("FRACSPEC_WORKERS", "2")

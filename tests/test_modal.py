@@ -140,7 +140,7 @@ def test_caputo_quadratic_convergence_order():
 
 def test_caputo_fft_path_matches_direct():
     rng = np.random.default_rng(7)
-    n = 5000  # beyond the direct-convolution cutoff
+    n = 5000  # a long history against the direct convolution
     h = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     out = caputo_l1(h, 0.3, 0.01)
     d = np.diff(h)
@@ -148,6 +148,30 @@ def test_caputo_fft_path_matches_direct():
     b = (j + 1) ** 0.7 - j**0.7
     direct = np.convolve(d, b)[:n] * (0.01**-0.3 / math.gamma(1.7))
     assert np.allclose(out, direct, rtol=1e-11, atol=1e-11)
+
+
+def test_caputo_batch_matches_rows():
+    # a (modes x times) array, real and complex rows mixed, equals its
+    # row-by-row calls bit for bit, and each row the direct convolution to
+    # 1e-15 of its largest value, at the lengths of the residual workflows
+    rng = np.random.default_rng(5)
+    for n, rho in ((1, 0.5), (32, 0.7), (64, 0.3), (100, 0.9)):
+        h = rng.normal(size=(4, n + 1)) + 1j * rng.normal(size=(4, n + 1))
+        h[[0, 2]] = h[[0, 2]].real
+        batch = caputo_l1(h, rho, 1.0 / n)
+        assert batch.shape == (4, n) and batch.dtype == complex
+        j = np.arange(n, dtype=float)
+        b = (j + 1) ** (1 - rho) - j ** (1 - rho)
+        for row, hist in zip(batch, h):
+            alone = caputo_l1(hist, rho, 1.0 / n)
+            assert alone.dtype == (float if np.all(hist.imag == 0.0) else complex)
+            assert np.array_equal(row, alone)
+            direct = np.convolve(np.diff(hist), b)[:n] * (n**rho / math.gamma(2 - rho))
+            assert np.max(np.abs(row - direct)) <= 1e-15 * np.max(np.abs(direct))
+        real = caputo_l1(h[[0, 2]].real, rho, 1.0 / n)
+        assert real.dtype == float and np.array_equal(real, batch[[0, 2]].real)
+        assert np.all(batch[[0, 2]].imag == 0.0)
+    assert caputo_l1(np.zeros((0, 5)), 0.5, 0.1).shape == (0, 4)
 
 
 def test_caputo_domain_errors():
@@ -159,6 +183,8 @@ def test_caputo_domain_errors():
         caputo_l1([1.0, 2.0], 0.5, 0.0)
     with pytest.raises(DomainError):
         caputo_l1([1.0], 0.5, 0.1)
+    with pytest.raises(DomainError):  # time runs along the last axis
+        caputo_l1([[1.0], [2.0]], 0.5, 0.1)
 
 
 def test_riemann_liouville_constant_frozen_value():

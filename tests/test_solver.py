@@ -325,6 +325,38 @@ def test_caputo_equals_negative_a_for_homogeneous():
     assert np.max(diff) < 0.02
 
 
+def test_apply_a_scales_each_quadrature_estimate():
+    sol = solve(two_source_spec(), np.linspace(0.0, 1.0, 5), 6, 7, mesh_M=4)
+    scaled = apply_termwise(sol, "A")
+    assert np.array_equal(scaled.quadrature_error_est, sol.lam * sol.quadrature_error_est)
+    assert scaled.max_quadrature_error == np.max(sol.lam * sol.quadrature_error_est)
+    # max(lam * est) is below max(lam) * max(est) when the largest estimate
+    # sits on a lower shell than the largest eigenvalue
+    assert scaled.max_quadrature_error < np.max(sol.lam) * sol.max_quadrature_error
+    assert sol.max_quadrature_error == np.max(sol.quadrature_error_est)
+
+
+def test_grid_at_synthesizes_from_the_arrays(monkeypatch):
+    real = solve(ProblemSpec(dimension=2, rho=0.5, T=1.0, phi=cos_field(2, 2)),
+                 np.linspace(0.0, 1.0, 5), 6, 7)
+    complex_sol = solve(two_source_spec(), np.linspace(0.0, 1.0, 5), 6, 7, mesh_M=4)
+    assert real.real_valued and not complex_sol.real_valued
+    cases = [(sol, j, m) for sol in (real, complex_sol) for j in range(-1, 5) for m in (None, 13)]
+    expected = [synthesize(sol.spectral_at(j), m or sol.grid_M).samples for sol, j, m in cases]
+    built = []
+    from_arrays = SpectralField.from_arrays.__func__
+
+    def counting_from_arrays(cls, *args, **kwargs):
+        built.append(args)
+        return from_arrays(cls, *args, **kwargs)
+
+    monkeypatch.setattr(SpectralField, "from_arrays", classmethod(counting_from_arrays))
+    for (sol, j, m), want in zip(cases, expected):
+        got = sol.grid_at(j, m).samples
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert built == []
+
+
 def test_apply_termwise_validation():
     spec = ProblemSpec(dimension=1, rho=0.5, T=1.0, phi="cosine_mode")
     sol = solve(spec, np.array([0.0, 0.1, 0.4, 1.0]), 2, 9)
@@ -422,6 +454,20 @@ def test_residual_mesh_errors():
         residual(sol2, spec, dt=0.3)
 
 
+def test_residual_rejects_solution_of_another_problem():
+    spec = two_source_spec()
+    times = np.linspace(0.0, 1.0, 9)
+    sol = solve(spec, times, 6, 7, mesh_M=4)
+    narrower = solve(spec, times, 2, 7, mesh_M=4)  # same data, truncated at k = 2
+    unforced = ProblemSpec(dimension=2, rho=0.5, T=1.0, phi=cos_field(1, 2))  # 2 of 21 modes
+    other_phi = ProblemSpec(dimension=2, rho=0.5, T=1.0, phi=cos_field(1, 2), source=spec.source)
+    assert len(solve(unforced, times, 6, 7).lam) == 2 and len(sol.lam) == 21
+    for s, p in ((sol, unforced), (solve(unforced, times, 6, 7), spec), (sol, other_phi)):
+        with pytest.raises(DomainError, match="not solved from this problem"):
+            residual(s, p, dt=1.0 / 8)
+    assert residual(narrower, spec, dt=1.0 / 8).truncation_radius_sq == 2
+
+
 # --- truncation tail -------------------------------------------------------------
 
 
@@ -463,6 +509,20 @@ def test_tail_time_scaling_and_source():
     assert later == pytest.approx(0.5 * phi_part + src_part, rel=1e-12)
     with pytest.raises(DomainError):
         truncation_tail(spec, 1.0, 4, 0.0)
+
+
+def test_tail_sums_shared_source_rows_before_the_peak():
+    # g1 and g2 share the row n = 3 outside the ball k = 2: its source is
+    # g1 q1 + g2 q2 = 1 + t, peak 2 at t = T, so it adds 9^a * 4 (the two
+    # factors' peaks taken apart would add 9^a * (1 + 1)); n = -4 is in g1 only
+    g1 = SpectralField({(3,): 1.0, (-4,): 2.0, (1,): 5.0}, 17, dimension=1)
+    g2 = SpectralField({(3,): 1.0, (0,): 7.0}, 10, dimension=1)
+    spec = ProblemSpec(
+        dimension=1, rho=0.5, T=1.0, phi="zero",
+        source=((g1, TimeProfile.constant(1.0)), (g2, TimeProfile.polynomial([0.0, 1.0]))),
+    )
+    a = 1.5
+    assert truncation_tail(spec, a, 2, 0.5) == pytest.approx(16.0**a * 4 + 9.0**a * 4, rel=1e-15)
 
 
 # --- per-shell solves ---------------------------------------------------------------
