@@ -54,10 +54,15 @@ def _parse_field(obj, dimension: int) -> SpectralField:
     if not isinstance(obj, dict):
         raise ConfigError(f"field spec must be an object, got {type(obj).__name__}")
     if "builtin" in obj:
-        params = {k: v for k, v in obj.items() if k != "builtin"}
+        params = {key: _parse_scalar(obj[key], key) for key in ("amplitude", "value") if key in obj}
+        if obj.get("k_max") is not None:
+            params["k_max"] = _number(obj, "k_max", int)
+        if obj.get("mode") is not None:
+            mode = obj["mode"] if isinstance(obj["mode"], list) else [obj["mode"]]
+            params["mode"] = [_as_number(c, "mode", int) for c in mode]
         return builtin_field(str(obj["builtin"]), dimension, **params)
     if "modes" in obj:
-        return _rows_field(obj["modes"], dimension)
+        return _rows_field(_listed(obj["modes"], "modes"), dimension)
     raise ConfigError("field spec needs either 'builtin' or 'modes'")
 
 
@@ -70,7 +75,7 @@ def _rows_field(rows, dimension: int) -> SpectralField:
     """
     comps, values = [], []
     for row in rows:
-        if len(row) != dimension + 2:
+        if not isinstance(row, (list, tuple)) or len(row) != dimension + 2:
             raise ConfigError(f"row {row} does not hold {dimension} indices then re, im")
         try:
             comps.extend([int(c) for c in row[:dimension]])
@@ -94,31 +99,37 @@ def _parse_profile(obj) -> TimeProfile:
     kind = obj["kind"]
     try:
         if kind == "constant":
-            return TimeProfile.constant(_parse_scalar(obj.get("value", 1.0)))
+            return TimeProfile.constant(_parse_scalar(obj.get("value", 1.0), "value"))
         if kind == "polynomial":
-            return TimeProfile.polynomial([_parse_scalar(c) for c in obj["coeffs"]])
+            return TimeProfile.polynomial(
+                [_parse_scalar(c, "coeffs") for c in _listed(obj["coeffs"], "coeffs")]
+            )
         if kind == "cosine":
             return TimeProfile.cosine(_number(obj, "omega"), _number(obj, "phase", default=0.0))
         if kind == "exponential":
             return TimeProfile.exponential(_number(obj, "rate"))
         if kind == "sampled":
             return TimeProfile.sampled(
-                [float(t) for t in obj["nodes"]],
-                [_parse_scalar(v) for v in obj["values"]],
+                [_as_number(t, "nodes") for t in _listed(obj["nodes"], "nodes")],
+                [_parse_scalar(v, "values") for v in _listed(obj["values"], "values")],
             )
     except KeyError as missing:
         raise ConfigError(f"time profile {kind!r} lacks required key {missing}") from None
     raise ConfigError(f"unknown time profile kind {kind!r}")
 
 
-def _parse_scalar(v) -> complex:
-    parts = v if isinstance(v, (list, tuple)) else (v, 0.0)
+def _parse_scalar(v, key: str) -> complex:
+    """A number or an [re, im] pair as a complex; ConfigError naming key otherwise."""
+    parts = v if isinstance(v, list) else (v, 0.0)
     if len(parts) != 2:
-        raise ConfigError(f"complex scalar needs [re, im], got {v}")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except (TypeError, ValueError):
-        raise ConfigError(f"scalar must be a number or [re, im], got {v!r}") from None
+        raise ConfigError(f"{key} must be a number or [re, im], got {v!r}")
+    return complex(_as_number(parts[0], key), _as_number(parts[1], key))
+
+
+def _listed(val, key: str) -> list:
+    if not isinstance(val, list):
+        raise ConfigError(f"{key} must be a list, got {val!r}")
+    return val
 
 
 def _number(raw: dict, key: str, kind=float, default=...):
@@ -129,8 +140,11 @@ def _number(raw: dict, key: str, kind=float, default=...):
     val = raw.get(key, default)
     if val is ...:
         raise ConfigError(f"config lacks required key {key!r}")
-    if val is None:
-        return None
+    return None if val is None else _as_number(val, key, kind)
+
+
+def _as_number(val, key: str, kind=float):
+    """val as _number reads it, a ConfigError naming key when it is no number."""
     try:
         num = float(val)
     except (TypeError, ValueError, OverflowError):
@@ -160,7 +174,7 @@ class RunConfig:
         rho, horizon = _number(raw, "rho"), _number(raw, "T")
         phi = _parse_field(raw.get("phi", {"builtin": "zero"}), self.dimension)
         source = []
-        for item in raw.get("source", []):
+        for item in _listed(raw.get("source", []), "source"):
             if not isinstance(item, dict) or not {"g", "q"} <= item.keys():
                 raise ConfigError("each source item needs a field 'g' and a time profile 'q'")
             source.append((_parse_field(item["g"], self.dimension), _parse_profile(item["q"])))
@@ -182,7 +196,10 @@ class RunConfig:
         self.mesh_M = _number(raw, "mesh_M", int, 256)
         self.grading_r = _number(raw, "grading_r", default=None)
         self.tolerance = _number(raw, "tolerance", default=None)
-        self.strict = bool(raw.get("strict", False)) or bool(getattr(args, "strict", False))
+        strict = raw.get("strict", False)
+        if not isinstance(strict, bool):
+            raise ConfigError(f"strict must be true or false, got {strict!r}")
+        self.strict = strict or bool(getattr(args, "strict", False))
         self.workers = _number(raw, "workers", int, None)
         if self.workers is None and os.environ.get("FRACSPEC_WORKERS"):
             self.workers = _number(os.environ, "FRACSPEC_WORKERS", int)
@@ -204,10 +221,7 @@ class RunConfig:
                 f"dt = {self.dt} must divide the horizon T = {horizon} evenly"
             )
         if raw.get("times") is not None:
-            try:
-                self.times = np.asarray([float(t) for t in raw["times"]], dtype=float)
-            except (TypeError, ValueError):
-                raise ConfigError(f"times must be numbers, got {raw['times']!r}") from None
+            self.times = np.array([_as_number(t, "times") for t in _listed(raw["times"], "times")])
         else:
             self.times = self.dt * np.arange(steps + 1)
 

@@ -4,23 +4,27 @@ The evaluator certifies a relative error at or below 1e-10 for rho in
 [0.1, 1], mu in {1, rho}, t in [0, 1e8].  The hard quantity is
 s = t**(1/rho): the power series loses about 0.4343*s decimal digits to
 cancellation, while the inverse-power asymptotic series bottoms out near
-exp(-s).  Branches are therefore routed on t and s:
+exp(-s).  Each point is routed by comparing t itself with its pair's zone
+bounds, each stated in t (s >= 36 if and only if t >= 36**rho):
 
-* series, with compensated summation: t <= 0.5 when the pair has a
-  widened Chebyshev model (below), s <= 5 (3 when mu < 0.45) otherwise.
-  The error estimate is the measured condition number Sum|term|/|sum|
-  times a small multiple of machine epsilon, so the claim is honest
-  rather than modeled; the cut keeps it below the target with margin.
-* s >= 36: inverse-power series Sum_{k>=1} (-1)^{k+1} t^{-k}/Gamma(mu-rho k)
-  stopped by a smooth term envelope.  Near-pole terms dip far below the
-  envelope (and pole terms vanish exactly), so raw term magnitudes are
-  useless for stopping; the envelope t^{-k}*Gamma(1+rho*k-mu)/pi is what
-  decays and then grows.  At s = 36 the envelope minimum certifies
+* series, with compensated summation: t at or below the lower end the
+  Chebyshev model (below) states, 0.5 for the widened model and cut**rho
+  for the narrow one, where cut = 5 (3 when mu < 0.45); t <= cut**rho
+  for pairs without a model.  The error estimate is the measured
+  condition number Sum|term|/|sum| times a small multiple of machine
+  epsilon, so the claim is honest rather than modeled; the cut keeps it
+  below the target with margin.
+* t >= 36**rho: inverse-power series
+  Sum_{k>=1} (-1)^{k+1} t^{-k}/Gamma(mu-rho k), stopped by a smooth term
+  envelope.  Near-pole terms dip far below the envelope (and pole terms
+  vanish exactly), so raw term magnitudes are useless for stopping; the
+  envelope t^{-k}*Gamma(1+rho*k-mu)/pi is what decays and then grows.  At s = 36 the envelope minimum certifies
   ~1e-11 at worst (rho = mu ~ 1) and machine precision for s >= 50.
 * the zone in between, for 0 < rho < 1 and rho <= mu <= 1: a per-(rho, mu)
-  Chebyshev interpolant of log E(-e^v), v = log t, over t from 0.5 (mu >=
-  0.45) or s = 3 (mu < 0.45) up to s = 36.  Its node values come from a
-  real integral that the Hankel contour collapses to on the negative axis,
+  Chebyshev interpolant of log E(-e^v), v = log t, over t from its lower
+  end, 0.5 (mu >= 0.45) or 3**rho (mu < 0.45), up to 36**rho.  Its node
+  values come from a real integral that the Hankel contour collapses to on
+  the negative axis,
 
       E_{rho,mu}(-x) = (1/pi) int_0^inf e^{-r} r^{rho-mu}
                        [r^rho sin(mu pi) + x sin((mu-rho) pi)] / D dr,
@@ -33,9 +37,10 @@ exp(-s).  Branches are therefore routed on t and s:
   off-node probes, whose reference values come from a 24-node rule:
   cert = 4 * (largest probe error + largest gap between the two rules),
   at least 1e-12.  Near rho = 1, where 129 nodes cannot certify 1e-12 over
-  the wide zone, the model keeps to s in (5, 36).  Positivity of E makes
-  the log form safe; other pairs (mu < rho, mu > 1, rho = 1) go through
-  extended precision per point.
+  the wide zone, the model keeps to t in (5**rho, 36**rho) and states
+  that lower end.  Positivity of E makes the log form safe.  Pairs without
+  a model (mu < rho, mu > 1, rho = 1 outside the closed forms) leave their
+  gap-zone points uncertified, so the valve below evaluates them.
 * exact elementary cases (rho = 1, mu in {1, 2}) are evaluated in closed
   form.  No floating-point branch reaches 1e-12 relative for
   E_{1,1}(-50) = e^{-50}, and the solver's classical-limit oracle needs
@@ -43,8 +48,9 @@ exp(-s).  Branches are therefore routed on t and s:
 
 Any element whose certified estimate still exceeds the target escalates
 to the extended-precision series (mpmath) with cancellation-aware digits;
-that valve is the only code that imports mpmath.  Chebyshev-model values
-report the ``extended_precision`` branch as well.
+that valve is the one extended-precision path and the only code that
+imports mpmath.  Chebyshev-model values report the ``extended_precision``
+branch as well.
 
 Array inputs are routed and evaluated in blocks of at most 32,768 points
 (``_BLOCK_POINTS``), so that a million-point call makes its many passes per
@@ -122,21 +128,8 @@ def _series_cut(mu: float) -> float:
     return 5.0 if mu >= 0.45 else 3.0
 
 
-def _closed_kind(rho: float, mu: float) -> int:
-    if rho == 1.0 and mu == 1.0:
-        return 1
-    if rho == 1.0 and mu == 2.0:
-        return 2
-    return 0
-
-
-def _closed_many(kind: int, t: np.ndarray) -> np.ndarray:
-    if kind == 1:
-        return np.exp(-t)
-    out = np.ones_like(t)
-    nz = t > 0.0
-    out[nz] = -np.expm1(-t[nz]) / t[nz]
-    return out
+# E_{1,1}(-t) = e^{-t} and E_{1,2}(-t) = (1 - e^{-t})/t, for t > 0
+_CLOSED_FORMS = {(1.0, 1.0): lambda t: np.exp(-t), (1.0, 2.0): lambda t: -np.expm1(-t) / t}
 
 
 def _series_many(rho: float, mu: float, t: np.ndarray):
@@ -314,8 +307,7 @@ def _mp_eval(rho: float, mu: float, t: float):
 # With r = e^v and u = v - log(x)/rho, its factor [..]/D equals g(u)/x for a g
 # that does not involve x, so one panel layout in u serves every x.
 
-_T_WIDE = 0.5  # the model's lower end for mu >= 0.45; the series keeps t <= 0.5
-_V_WIDE = math.log(_T_WIDE)
+_T_WIDE = 0.5  # the wide model's lower end in t; the series keeps t <= 0.5
 # Gauss-Legendre panel edges at +-these offsets from the integrand's peak u = 0
 _PEAK_OFFSETS = np.array([0.01, 0.03, 0.1, 0.3, 1.0, 2.5, 5.0])
 _PANEL_WIDTH = 2.0  # longest panel between and beyond the offsets
@@ -327,6 +319,7 @@ _CHEB_NODES_MAX = 129
 
 @dataclass
 class _ChebModel:
+    tlo: float  # the lower end in t; the series keeps t <= tlo
     vlo: float
     vhi: float
     coef: np.ndarray
@@ -340,10 +333,6 @@ _CHEB_LOCK = threading.Lock()
 def _sinpi(x: float) -> float:
     """sin(pi x) for x in [0, 1], exactly 0 at both ends."""
     return math.sin(math.pi * min(x, 1.0 - x))
-
-
-def _has_model(rho: float, mu: float) -> bool:
-    return 0.0 < rho < 1.0 and rho <= mu <= 1.0
 
 
 def _hankel_rule(rho: float, mu: float, vlo: float, vhi: float, order: int):
@@ -382,8 +371,11 @@ def _hankel_log(rho: float, mu: float, v: np.ndarray, rule) -> np.ndarray:
     return np.log(f @ wg) - v
 
 
-def _cheb_fit(rho: float, mu: float, vlo: float, vhi: float) -> _ChebModel:
-    """Chebyshev interpolant of log E(-e^v) on [vlo, vhi], certified at probes."""
+def _cheb_fit(rho: float, mu: float, tlo: float, vlo: float, vhi: float) -> _ChebModel:
+    """Chebyshev interpolant of log E(-e^v) on [vlo, vhi], certified at probes.
+
+    vlo is log(tlo) as the caller rounds it; routing compares t with tlo.
+    """
     rule = _hankel_rule(rho, mu, vlo, vhi, 16)
     vp = vlo + (vhi - vlo) * (np.arange(1, 14) / 14.0)
     wp = (2.0 * vp - vlo - vhi) / (vhi - vlo)
@@ -401,7 +393,7 @@ def _cheb_fit(rho: float, mu: float, vlo: float, vhi: float) -> _ChebModel:
         coef[0] *= 0.5
         approx = np.polynomial.chebyshev.chebval(wp, coef)
         err = float(np.max(np.abs(np.expm1(approx - ref)))) + gap
-        model = _ChebModel(vlo, vhi, coef, max(4.0 * err, 1e-12))
+        model = _ChebModel(tlo, vlo, vhi, coef, max(4.0 * err, 1e-12))
         if best is None or model.cert < best.cert:
             best = model
         if err <= _CHEB_STOP or nnode >= _CHEB_NODES_MAX:
@@ -412,15 +404,16 @@ def _cheb_fit(rho: float, mu: float, vlo: float, vhi: float) -> _ChebModel:
 
 def _cheb_build(rho: float, mu: float) -> _ChebModel:
     vhi = rho * math.log(_S_ASYM)
-    narrow_lo = rho * math.log(_series_cut(mu))
+    cut = _series_cut(mu)
+    narrow_lo = (cut**rho, rho * math.log(cut))
     if mu < 0.45:
         # small mu: a model widened below s = 3 reaches only ~2e-10
-        return _cheb_fit(rho, mu, narrow_lo, vhi)
-    model = _cheb_fit(rho, mu, _V_WIDE, vhi)
+        return _cheb_fit(rho, mu, *narrow_lo, vhi)
+    model = _cheb_fit(rho, mu, _T_WIDE, math.log(_T_WIDE), vhi)
     if model.cert > 1e-12:
         # near rho = 1 the onset of the algebraic tail is too sharp for the
         # widest model; the series then keeps s <= 5 as for mu < 0.45
-        narrow = _cheb_fit(rho, mu, narrow_lo, vhi)
+        narrow = _cheb_fit(rho, mu, *narrow_lo, vhi)
         if narrow.cert < model.cert:
             model = narrow
     return model
@@ -472,7 +465,12 @@ def _eval_many(rho: float, mu: float, t: np.ndarray):
 
 
 def _eval_block(rho: float, mu: float, t: np.ndarray, vals, ests, codes) -> None:
-    """Route the points t and write their results into the views vals, ests, codes."""
+    """Route the points t and write their results into the views vals, ests, codes.
+
+    Each point's zone is read off t against its pair's bounds: asymptotic for
+    t >= 36**rho, the gap model above the lower end the model states, the
+    series at or below it.
+    """
     zero = t == 0.0
     if zero.any():
         # libm gamma is exact at integers, so E(0) = 1 comes out exactly 1
@@ -484,55 +482,35 @@ def _eval_block(rho: float, mu: float, t: np.ndarray, vals, ests, codes) -> None
     if rest.size == 0:
         return
 
-    kind = _closed_kind(rho, mu)
-    if kind:
-        vals[rest] = _closed_many(kind, t[rest])
+    closed = _CLOSED_FORMS.get((rho, mu))
+    if closed:
+        vals[rest] = closed(t[rest])
         ests[rest] = 4.0 * _EPS
         codes[rest] = _CLO
         return
 
     tr = t[rest]
-    with np.errstate(over="ignore"):
-        s_hard = tr ** (1.0 / rho)
-    cut = _series_cut(mu)
-    modeled = _has_model(rho, mu)
-    if modeled and mu >= 0.45:
-        ser = tr <= _T_WIDE
-    else:
-        ser = s_hard <= cut
-    asy = s_hard >= _S_ASYM
-    mid = ~(ser | asy)
-    if modeled and mid.any():
-        model = _cheb_get(rho, mu)
-        if model.vlo > _V_WIDE:
-            # a model that kept the series zone s <= cut leaves it to the series
-            ser |= mid & (s_hard <= cut)
-            mid &= ~ser
-
-    if ser.any():
-        idx = rest[ser]
-        v, e = _series_many(rho, mu, tr[ser])
-        vals[idx] = v
-        ests[idx] = e
-        codes[idx] = _SER
-    if asy.any():
-        idx = rest[asy]
-        v, e = _asym_many(rho, mu, tr[asy])
-        vals[idx] = v
-        ests[idx] = e
-        codes[idx] = _ASY
-    if mid.any():
-        idx = rest[mid]
-        if modeled:
-            v, e = _cheb_many(model, tr[mid])
-            vals[idx] = v
-            ests[idx] = e
-            codes[idx] = _EXT
-        else:
-            # off-contract pairs (mu < rho, mu > 1, rho = 1) have no model
-            for j, tv in zip(idx, tr[mid]):
-                vals[j], ests[j] = _mp_eval(rho, mu, float(tv))
-                codes[j] = _EXT
+    asy = tr >= _S_ASYM**rho
+    t_lo = _series_cut(mu) ** rho
+    # a pair without a model leaves its gap points uncertified, to the valve
+    gap = lambda x: (np.full(x.size, np.nan), np.full(x.size, np.inf))
+    if 0.0 < rho < 1.0 and rho <= mu <= 1.0:  # the pairs with a model
+        if mu >= 0.45:
+            t_lo = _T_WIDE  # the wide model's end; its build may state cut**rho
+        if np.any(~asy & (tr > t_lo)):
+            model = _cheb_get(rho, mu)
+            t_lo = model.tlo
+            gap = lambda x: _cheb_many(model, x)
+    ser = tr <= t_lo
+    for code, pick, run in (
+        (_SER, ser, lambda x: _series_many(rho, mu, x)),
+        (_ASY, asy, lambda x: _asym_many(rho, mu, x)),
+        (_EXT, ~(ser | asy), gap),
+    ):
+        if pick.any():
+            idx = rest[pick]
+            vals[idx], ests[idx] = run(tr[pick])
+            codes[idx] = code
 
     # correctness valve: anything not certified re-runs at extended precision
     bad = np.flatnonzero(ests > TARGET_REL)

@@ -253,6 +253,10 @@ def test_solve_config_errors(tmp_path, capsys):
     assert main(["solve", "--config", ragged]) == 1
 
 
+def cosine_source(profile):
+    return {"source": [{"g": {"builtin": "cosine_mode"}, "q": profile}]}
+
+
 @pytest.mark.parametrize(
     "overrides, key",
     [
@@ -265,6 +269,16 @@ def test_solve_config_errors(tmp_path, capsys):
         ({"source": [{"g": {"builtin": "cosine_mode"}}]}, "'q'"),
         ({"source": [{"g": {"builtin": "cosine_mode"}, "q": {"kind": "cosine"}}]}, "'omega'"),
         ({"times": [0.0, "late"]}, "times"),
+        ({"strict": "no"}, "strict"),  # only JSON true/false, never bool("no")
+        ({"phi": {"builtin": "cosine_mode", "amplitude": "x"}}, "amplitude"),
+        ({"phi": {"builtin": "cosine_mode", "mode": ["x"]}}, "mode"),
+        ({"phi": {"builtin": "hardy_littlewood", "k_max": "x"}}, "k_max"),
+        ({"phi": {"builtin": "constant", "value": [1, 2, 3]}}, "value"),
+        (cosine_source({"kind": "polynomial", "coeffs": 3}), "coeffs"),
+        ({"phi": {"modes": 3}}, "modes"),
+        ({"phi": {"modes": [3]}}, "row 3"),
+        (cosine_source({"kind": "sampled", "nodes": ["x", 1], "values": [1, 2]}), "nodes"),
+        ({"source": 5}, "source"),
     ],
 )
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, overrides, key):

@@ -192,13 +192,48 @@ def test_blocked_evaluation_is_bitwise_one_block(monkeypatch, rho, mu):
     for a, b in zip(whole, blocked):
         assert a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
-    # zeros report the series; off the contract (mu = 1.3) the gap zone goes
-    # point by point to extended precision, on it to the Chebyshev model
+    # zeros report the series; off the contract (mu = 1.3) the gap zone is
+    # left uncertified for the extended-precision valve, on it the Chebyshev
+    # model answers
     if (rho, mu) == (1.0, 1.0):
         expected = {mlf._SER, mlf._CLO}
     else:
         expected = {mlf._SER, mlf._ASY, mlf._EXT}
     assert set(whole[2].tolist()) == expected
+
+
+@pytest.mark.parametrize("rho, mu", [(0.5, 1.3), (0.5, 0.3), (0.7, 2.0), (1.0, 0.5)])
+def test_pairs_without_model_match_reference_across_gap(rho, mu):
+    # no Chebyshev model: the valve evaluates every point between the series
+    # cut and the asymptotic bound
+    cut = 5.0 if mu >= 0.45 else 3.0
+    ts = np.geomspace(0.9 * cut**rho, 0.999 * 36.0**rho, 9)
+    vals, ests, _ = mlf.mlf_neg_array(mlf.MlfParams(rho, mu), ts)
+    for t, val, est in zip(ts, vals, ests):
+        ref = mlf_reference(rho, mu, float(t))
+        err = abs(val - ref) / abs(ref)
+        assert err <= est <= mlf.TARGET_REL, (rho, mu, t, err, est)
+
+
+@pytest.mark.parametrize("rho, mu", [(0.5, 1.0), (0.3, 0.3), (0.9999, 1.0)])
+def test_zone_bounds_route_on_t(monkeypatch, rho, mu):
+    # one ulp either side of 36**rho, 0.5 and the lower end the model states:
+    # asymptotic from 36**rho on, the model above its lower end, the series
+    # at or below it; a lone point and a blocked array call agree bit for bit
+    params = mlf.MlfParams(rho, mu)
+    top, lower = 36.0**rho, mlf._cheb_get(rho, mu).tlo
+    edges = [np.nextafter(b, d) for b in (top, 0.5, lower) for d in (0.0, np.inf)]
+    ts = np.concatenate([edges, blocking_probe_points()])
+    monkeypatch.setattr(mlf, "_BLOCK_POINTS", 7)
+    vals, ests, codes = mlf.mlf_neg_array(params, ts)
+    for i, t in enumerate(edges):
+        want = mlf._ASY if t >= top else (mlf._EXT if t > lower else mlf._SER)
+        assert codes[i] == want, (rho, mu, t)
+        assert ests[i] <= mlf.TARGET_REL, (rho, mu, t)
+        rep = mlf.mlf_neg(params, float(t))
+        lone = np.array([rep.value, rep.est_rel_error])
+        assert lone.tobytes() == np.array([vals[i], ests[i]]).tobytes(), (rho, mu, t)
+        assert rep.branch is mlf.branch_from_code(codes[i])
 
 
 def test_blocked_evaluation_raises_same_accuracy_error(monkeypatch):
