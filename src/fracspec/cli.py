@@ -77,11 +77,8 @@ def _rows_field(rows, dimension: int) -> SpectralField:
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) != dimension + 2:
             raise ConfigError(f"row {row} does not hold {dimension} indices then re, im")
-        try:
-            comps.extend([int(c) for c in row[:dimension]])
-            values.append(complex(float(row[-2]), float(row[-1])))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed row {row}: {exc}") from None
+        comps.extend([_as_number(c, "modes", int) for c in row[:dimension]])
+        values.append(complex(_as_number(row[-2], "modes"), _as_number(row[-1], "modes")))
     try:
         index = np.array(comps, dtype=np.int64).reshape(-1, dimension)
     except OverflowError:
@@ -144,11 +141,13 @@ def _number(raw: dict, key: str, kind=float, default=...):
 
 
 def _as_number(val, key: str, kind=float):
-    """val as _number reads it, a ConfigError naming key when it is no number."""
+    """val as _number reads it, a ConfigError naming key when it is no finite number."""
     try:
         num = float(val)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, got {val!r}") from None
+    if not math.isfinite(num):
+        raise ConfigError(f"{key} must be finite, got {val!r}")
     if kind is float:
         return num
     if not num.is_integer():

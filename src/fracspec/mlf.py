@@ -52,6 +52,12 @@ that valve is the one extended-precision path and the only code that
 imports mpmath.  Chebyshev-model values report the ``extended_precision``
 branch as well.
 
+The kernel's running integral, K(x) = x^rho E_{rho,rho+1}(-lam x^rho), is
+x^rho Sum_{k>=1} (-y)^{k-1}/Gamma(rho k+1) where y = lam x^rho <= 0.5, and
+(1 - E_{rho,1}(-y))/lam above.  ``mlf_kernel_primitive`` sums the same series
+for K(b) - K(a), each b^{rho k} - a^{rho k} as b^{rho k} * -expm1(k ln q) with
+ln q = rho log1p((a-b)/b) for a > b/2, so close limits lose no digits.
+
 Array inputs are routed and evaluated in blocks of at most 32,768 points
 (``_BLOCK_POINTS``), so that a million-point call makes its many passes per
 asymptotic term in L2 cache and holds temporaries for one block, not for the
@@ -585,35 +591,40 @@ def _check_kernel_params(rho: float, lam) -> None:
         raise DomainError(f"lambda must be finite and nonnegative, got {lam}")
 
 
-def _one_minus_mlf_small(rho: float, y: np.ndarray) -> np.ndarray:
-    """1 - E_{rho,1}(-y) for y in [0, ~0.5] without cancellation."""
-    out = np.zeros_like(y)
-    p = np.array(y, dtype=float)  # y^k, starting k = 1
-    k = 1
-    while True:
-        rg = float(gammafn.rgamma(rho * k + 1.0))
-        term = p * rg
-        if k % 2 == 1:
-            out += term
-        else:
-            out -= term
-        if np.all(np.abs(term) <= 1e-17 * np.maximum(out, 1e-300)) and k > 2:
+def _kernel_series(rho: float, y: np.ndarray, lnq: float = -math.inf) -> np.ndarray:
+    """Sum_{k>=1} (-y)^{k-1} (1 - q^k) / Gamma(rho k + 1) for y in [0, 0.5].
+
+    Each factor 1 - q^k is -expm1(k ln q), so it keeps its digits for q near
+    1; q = 0 (the default ln q = -inf) makes every factor exactly 1.  The sum
+    is a kernel integral, so it decreases in y: the terms are kept up to the
+    first below 1e-17 of the sum at the largest y, past which later terms
+    round away at every y, and summed by Horner's rule.
+    """
+    ymax = float(np.max(y, initial=0.0))
+    coefs, at_max = [], 0.0
+    for k in range(1, 201):
+        coefs.append(-math.expm1(k * lnq) * float(gammafn.rgamma(rho * k + 1.0)))
+        term = (-ymax) ** (k - 1) * coefs[-1]
+        at_max += term
+        if k > 2 and abs(term) <= 1e-17 * at_max:
             break
-        p *= y
-        k += 1
-        if k > 200:
-            break
-    return out
+    neg_y = -y
+    total = np.full_like(y, coefs.pop())
+    for c in reversed(coefs):
+        total *= neg_y
+        total += c
+    return total
 
 
 def kernel_cumulative(rho: float, lam, x) -> np.ndarray:
     """Integral of the kernel from 0 to x, elementwise: mlf_kernel_primitive(rho, lam, 0, x).
 
-    Equals x^rho / Gamma(1+rho) for lam = 0 and (1 - E_{rho,1}(-lam x^rho))/lam
-    otherwise, with a series path where the difference would cancel.  lam may
-    be an array that broadcasts against x, one eigenvalue per element; the
-    result has the broadcast shape, and each element is what a call with its
-    own scalar lam gives.
+    Equals K(x) = x^rho E_{rho,rho+1}(-lam x^rho).  For y = lam x^rho <= 0.5
+    that is x^rho times the defining series of E_{rho,rho+1}(-y), with
+    nothing divided by lam (lam = 0 needs no case of its own); above it,
+    (1 - E_{rho,1}(-y))/lam.  lam may be an array that broadcasts against
+    x, one eigenvalue per element; the result has the broadcast shape, and
+    each element is what a call with its own scalar lam gives.
     """
     _check_kernel_params(rho, lam)
     lam = np.asarray(lam, dtype=float)
@@ -621,65 +632,42 @@ def kernel_cumulative(rho: float, lam, x) -> np.ndarray:
     if x.size and (np.any(x < 0.0) or not np.all(np.isfinite(x))):
         raise DomainError("x must be finite and nonnegative")
     lam, x = np.broadcast_arrays(lam, x)
+    xr = x**rho
+    y = lam * xr
     out = np.empty(x.shape, dtype=float)
-    flat = lam == 0.0
-    if flat.any():
-        out[flat] = x[flat] ** rho * float(gammafn.rgamma(1.0 + rho))
-    y = lam * x**rho
-    small = ~flat & (y <= 0.5)
-    if small.any():
-        out[small] = _one_minus_mlf_small(rho, y[small]) / lam[small]
-    big = ~(flat | small)
-    if big.any():
-        v, _, _ = _eval_many(rho, 1.0, y[big])
-        out[big] = (1.0 - v) / lam[big]
+    small = y <= 0.5
+    out[small] = xr[small] * _kernel_series(rho, y[small])
+    big = ~small
+    v, _, _ = _eval_many(rho, 1.0, y[big])
+    out[big] = (1.0 - v) / lam[big]
     return out
 
 
 def mlf_kernel_primitive(rho: float, lam: float, a: float, b: float) -> float:
     """Exact kernel antiderivative: integral_a^b xi^{rho-1} E_{rho,rho}(-lam xi^rho) dxi.
 
-    Evaluates [E_{rho,1}(-lam a^rho) - E_{rho,1}(-lam b^rho)]/lam, an identity of
-    the defining series; for lam = 0 it is (b^rho - a^rho)/Gamma(1+rho).  A fully
-    expanded series path covers small lam*b^rho, where the difference form cancels.
+    K(b) - K(a).  For y = lam b^rho <= 0.5 it is b^rho times the kernel
+    series with q = (a/b)^rho: ln q = rho log1p((a - b)/b) for a > b/2, where
+    a - b is exact and close limits lose no digits, and rho (ln a - ln b)
+    below.  Above 0.5 it is [E_{rho,1}(-lam a^rho) - E_{rho,1}(-y)]/lam.
     """
     _check_kernel_params(rho, lam)
     if not (0.0 <= a <= b) or not math.isfinite(b):
         raise DomainError(f"need 0 <= a <= b, got a={a}, b={b}")
     if a == b:
         return 0.0
-    if lam == 0.0 or lam * b**rho <= 0.5:
-        return _primitive_series(rho, lam, a, b)
-    va, _, _ = _eval_many(rho, 1.0, np.array([lam * a**rho]))
-    vb, _, _ = _eval_many(rho, 1.0, np.array([lam * b**rho]))
-    return float((va[0] - vb[0]) / lam)
-
-
-def _primitive_series(rho: float, lam: float, a: float, b: float) -> float:
-    # sum_k (-lam)^k (b^{rho(k+1)} - a^{rho(k+1)}) / Gamma(rho(k+1) + 1)
-    q = (a / b) ** rho if a > 0.0 else 0.0
-    lnq = math.log(q) if q > 0.0 else -math.inf
-    total = 0.0
-    sign = 1.0
-    lamk = 1.0
-    bp = b**rho
-    k = 0
-    while True:
-        if q > 0.0:
-            diff = bp * (-math.expm1((k + 1) * lnq))
+    br = b**rho
+    if lam * br <= 0.5:
+        if a == 0.0:
+            lnq = -math.inf
+        elif 2.0 * a > b:
+            lnq = rho * math.log1p((a - b) / b)
         else:
-            diff = bp
-        term = sign * lamk * diff * float(gammafn.rgamma(rho * (k + 1) + 1.0))
-        total += term
-        if abs(term) <= 1e-17 * abs(total) and k > 2:
-            break
-        sign = -sign
-        lamk *= lam
-        bp *= b**rho
-        k += 1
-        if k > 300:
-            break
-    return total
+            lnq = rho * (math.log(a) - math.log(b))
+        return float(br * _kernel_series(rho, np.array([lam * br]), lnq)[0])
+    va, _, _ = _eval_many(rho, 1.0, np.array([lam * a**rho]))
+    vb, _, _ = _eval_many(rho, 1.0, np.array([lam * br]))
+    return float((va[0] - vb[0]) / lam)
 
 
 def mlf_asymptotic_leading(rho: float, s: float) -> float:

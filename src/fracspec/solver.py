@@ -226,8 +226,8 @@ class SolutionField:
     initial coefficient, lam[i] = |n_i|^2, and quadrature_error_est[i] the
     mesh discrepancy of its convolution, whose maximum is max_quadrature_error.
     The arrays are read-only.  grid_at synthesizes a time slice straight from
-    index and values.  mode_solutions, and its alias modes, is a read-only
-    MultiIndex -> ModeSolution view in the same order, built on first use.
+    index and values.  mode_solutions is a read-only MultiIndex ->
+    ModeSolution view in the same order, built on first use.
     """
 
     dimension: int
@@ -265,10 +265,6 @@ class SolutionField:
             }
             object.__setattr__(self, "_view", MappingProxyType(view))
         return self._view
-
-    @property
-    def modes(self):
-        return self.mode_solutions
 
     @property
     def max_quadrature_error(self) -> float:

@@ -290,7 +290,7 @@ def test_criterion_08_zero_data_uniqueness_witness():
     times = np.linspace(0.0, 1.0, 17)
     spec = ProblemSpec(dimension=1, rho=0.5, T=1.0, phi="zero")
     sol = solve(spec, times, truncation_radius_sq=5, grid_M=7)
-    assert not sol.modes
+    assert not sol.mode_solutions
     for i in range(len(times)):
         assert np.all(sol.grid_at(i).samples == 0.0)
     rep = residual(sol, spec, times[1] - times[0])

@@ -279,6 +279,14 @@ def cosine_source(profile):
         ({"phi": {"modes": [3]}}, "row 3"),
         (cosine_source({"kind": "sampled", "nodes": ["x", 1], "values": [1, 2]}), "nodes"),
         ({"source": 5}, "source"),
+        ({"phi": {"modes": [[1.5, 1, 0]]}}, "modes"),  # an index is never truncated
+        # non-finite numbers, also bare JSON NaN, are refused where they are read
+        ({"phi": {"builtin": "cosine_mode", "amplitude": "inf"}}, "amplitude"),
+        ({"phi": {"builtin": "constant", "value": "nan"}}, "value"),
+        ({"phi": {"modes": [[1, "nan", 0]]}}, "modes"),
+        ({"regularity_exponent_a": "nan"}, "regularity_exponent_a"),
+        ({"tolerance": math.nan}, "tolerance"),
+        (cosine_source({"kind": "cosine", "omega": "nan"}), "omega"),
     ],
 )
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, overrides, key):

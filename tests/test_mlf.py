@@ -458,6 +458,57 @@ def test_kernel_cumulative_array_lam_matches_scalar_calls():
             mlf.kernel_cumulative(0.5, np.array(bad)[:, None], xs)
 
 
+def kernel_integral_reference(rho: float, lam: float, a: float, b: float) -> float:
+    """integral_a^b of the kernel as a difference of mpmath series at 60 digits.
+
+    Each term (-lam)^k (b^{rho(k+1)} - a^{rho(k+1)}) / Gamma(rho(k+1)+1) is
+    formed from the exact doubles a and b, so limits 1e-9 apart still leave
+    ~50 digits after the cancellation.
+    """
+    with mpmath.mp.workdps(60):
+        rr, ll, aa, bb = (mpmath.mpf(v) for v in (rho, lam, a, b))
+        tot = mpmath.mpf(0)
+        k = 0
+        while True:
+            e = rr * (k + 1)
+            term = (-ll) ** k * (bb**e - aa**e) / mpmath.gamma(e + 1)
+            tot += term
+            if k > 2 and abs(term) < mpmath.mpf(10) ** -70 * abs(tot):
+                return float(tot)
+            k += 1
+
+
+def test_kernel_cumulative_small_zone_against_reference():
+    # K(x) = x^rho E_{rho,rho+1}(-lam x^rho) on the series zone y = lam x^rho <= 0.5
+    worst = 0.0
+    for rho in (0.25, 0.5, 0.7, 0.95, 1.0):
+        for lam in (0.0, 0.01, 5.0, 333.0):
+            ys = np.array([1e-9, 1e-3, 0.1, 0.3, 0.49])
+            xs = (ys / (lam or 1.0)) ** (1.0 / rho)  # lam = 0 takes lam = 1's x
+            got = mlf.kernel_cumulative(rho, lam, xs)
+            xr = xs**rho
+            want = np.array(
+                [r * mlf_reference(rho, rho + 1.0, lam * r) for r in xr.tolist()]
+            )
+            worst = max(worst, float(np.max(np.abs(got - want) / want)))
+    assert worst <= 4e-15
+
+
+def test_kernel_primitive_close_limits_against_reference():
+    # the series zone keeps every digit of a short interval: 1 - (a/b)^{rho(k+1)}
+    # is formed from a - b, not from a rounded a/b; a/b = 1e-12 checks the
+    # ln a - ln b form, where log1p((a - b)/b) would lose digits.  Compared by
+    # hand: pytest.approx's default absolute tolerance 1e-12 passes values ~1e-9.
+    for rho in (0.1, 0.5, 0.9, 1.0):
+        for lam in (0.0, 5.0):
+            b = 2.0 if lam == 0.0 else (0.45 / lam) ** (1.0 / rho)
+            for ratio in (0.0, 1e-12, 0.3, 1 - 1e-6, 1 - 1e-9):
+                a = ratio * b
+                got = mlf.mlf_kernel_primitive(rho, lam, a, b)
+                want = kernel_integral_reference(rho, lam, a, b)
+                assert abs(got - want) <= 1e-13 * want, (rho, lam, ratio)
+
+
 def test_wide_entry_classical_identities():
     r = mlf_neg_wide(2.0, 1.0, 2.3)
     assert r.value == pytest.approx(math.cos(math.sqrt(2.3)), rel=1e-13)

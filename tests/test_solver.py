@@ -226,8 +226,8 @@ def test_solve_workers_match_serial():
     times = np.array([0.0, 0.5, 1.0])
     serial = solve(spec, times, 5, 11)
     parallel = solve(spec, times, 5, 11, workers=2)
-    for idx, s in serial.modes.items():
-        assert np.array_equal(s.values, parallel.modes[idx].values)
+    for idx, s in serial.mode_solutions.items():
+        assert np.array_equal(s.values, parallel.mode_solutions[idx].values)
 
 
 def test_mode_history_absent_mode_is_zero():
@@ -563,8 +563,8 @@ def test_solve_matches_solve_mode():
     times = np.linspace(0.0, 1.0, 5)
     sol = solve(spec, times, 6, 7, mesh_M=4)
     mesh = GradedMesh(1.0, 4, default_grading(spec.rho))
-    assert list(sol.modes) == modes_within(2, 6)
-    for idx, s in sol.modes.items():
+    assert list(sol.mode_solutions) == modes_within(2, 6)
+    for idx, s in sol.mode_solutions.items():
         f_n = TimeProfile.weighted_sum([(g.get(idx), q) for g, q in spec.source])
         direct = solve_mode(spec.rho, float(idx.norm_sq), 0.5, f_n, times, mesh)
         scale = np.max(np.abs(direct.values))
@@ -606,7 +606,7 @@ def test_solve_does_shell_work_once(monkeypatch):
     kernel_points.clear()
     homog_calls.clear()
     sol = solve(spec, times, 6, 7, mesh_M=4)
-    assert len(sol.modes) == 21 and len(final_M) == 5
+    assert len(sol.mode_solutions) == 21 and len(final_M) == 5
     assert len(homog_calls) == 1
     assert len(kernel_points) == len(set(kernel_points))
     # a shell refines until its last member stops
@@ -632,9 +632,9 @@ def test_solve_workers_match_serial_across_shells():
     times = np.linspace(0.0, 1.0, 5)
     serial = solve(spec, times, 6, 7, mesh_M=4)
     parallel = solve(spec, times, 6, 7, mesh_M=4, workers=2)
-    assert list(parallel.modes) == list(serial.modes)
-    for idx, s in serial.modes.items():
-        p = parallel.modes[idx]
+    assert list(parallel.mode_solutions) == list(serial.mode_solutions)
+    for idx, s in serial.mode_solutions.items():
+        p = parallel.mode_solutions[idx]
         assert np.array_equal(s.values, p.values)
         assert s.quadrature_error_est == p.quadrature_error_est
 
