@@ -42,6 +42,11 @@ from .spectra import (
 
 _USER_ERRORS = (ConfigError, DomainError, AliasError, MeshError, AccuracyError)
 
+# size bounds, checked before any array is made
+_MAX_STEPS = 1 << 20  # time steps T/dt (residual halves dt once more)
+_MAX_GRID_POINTS = 1 << 24  # grid_M**dimension points in each synthesized time slice
+_MAX_DIMENSION = 15  # 3**15 points, the smallest grid (grid_M = 3), still within the bound
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -170,6 +175,8 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         self.dimension = _number(raw, "dimension", int)
+        if self.dimension > _MAX_DIMENSION:
+            raise ConfigError(f"dimension must be at most {_MAX_DIMENSION}, got {self.dimension}")
         rho, horizon = _number(raw, "rho"), _number(raw, "T")
         phi = _parse_field(raw.get("phi", {"builtin": "zero"}), self.dimension)
         source = []
@@ -214,6 +221,15 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive, got {val}")
         if self.grid_M % 2 == 0:
             raise ConfigError(f"grid_M must be odd, got {self.grid_M}")
+        if self.grid_M**self.dimension > _MAX_GRID_POINTS:
+            raise ConfigError(
+                f"grid_M**dimension = {self.grid_M}**{self.dimension} exceeds "
+                f"{_MAX_GRID_POINTS} grid points"
+            )
+        if horizon / self.dt > _MAX_STEPS:
+            raise ConfigError(
+                f"dt = {self.dt} asks for more than {_MAX_STEPS} steps over T = {horizon}"
+            )
         steps = round(horizon / self.dt)
         if steps < 1 or abs(steps * self.dt - horizon) > 1e-9 * horizon:
             raise ConfigError(

@@ -14,13 +14,26 @@ bounds, each stated in t (s >= 36 if and only if t >= 36**rho):
   condition number Sum|term|/|sum| times a small multiple of machine
   epsilon, so the claim is honest rather than modeled; the cut keeps it
   below the target with margin.
-* t >= 36**rho: inverse-power series
-  Sum_{k>=1} (-1)^{k+1} t^{-k}/Gamma(mu-rho k), stopped by a smooth term
-  envelope.  Near-pole terms dip far below the envelope (and pole terms
-  vanish exactly), so raw term magnitudes are useless for stopping; the
-  envelope t^{-k}*Gamma(1+rho*k-mu)/pi is what decays and then grows.  At s = 36 the envelope minimum certifies
-  ~1e-11 at worst (rho = mu ~ 1) and machine precision for s >= 50.
-* the zone in between, for 0 < rho < 1 and rho <= mu <= 1: a per-(rho, mu)
+* t >= 36**rho, the ``asymptotic`` zone (the label names the zone, not the
+  method).  For 0 < rho < 1 and mu in {1, rho}: a per-(rho, mu) Chebyshev
+  model of log(t^p E_{rho,mu}(-t)) in y = 1/t over [0, 36**-rho], with
+  p = 1, or p = 2 when mu = rho (there the 1/t term vanishes and t^2 E
+  tends to -1/Gamma(-rho)).  Its node values come from the Hankel integral
+  below, and it is certified as the gap model is: 13 off-node probes
+  against the 24-node rule, nodes doubled from 17 until the probe error is
+  at most 2.5e-13, cert = 4 * (probe error + rule gap), at least 1e-12.
+  E is smooth at y = 0, so the series holds past its last node; up to the
+  upper end it states, t = 1e100, it is pinned against mpmath.  Past that
+  end, and for every other pair, the inverse-power series
+  Sum_{k>=1} (-1)^{k+1} t^{-k}/Gamma(mu-rho k) answers, stopped by a
+  smooth term envelope.  Near-pole terms dip far below the envelope (and
+  pole terms vanish exactly), so raw term magnitudes are useless for
+  stopping; the envelope t^{-k}*Gamma(1+rho*k-mu)/pi is what decays and
+  then grows.  At s = 36 the envelope minimum certifies no better than
+  ~1e-10 near rho = mu = 1, where the valve took such points before the
+  model did, and machine precision for s >= 50; past 1e100 it stops in
+  1-3 terms.
+* the gap zone in between, for 0 < rho < 1 and rho <= mu <= 1: a per-(rho, mu)
   Chebyshev interpolant of log E(-e^v), v = log t, over t from its lower
   end, 0.5 (mu >= 0.45) or 3**rho (mu < 0.45), up to 36**rho.  Its node
   values come from a real integral that the Hankel contour collapses to on
@@ -49,7 +62,7 @@ bounds, each stated in t (s >= 36 if and only if t >= 36**rho):
 Any element whose certified estimate still exceeds the target escalates
 to the extended-precision series (mpmath) with cancellation-aware digits;
 that valve is the one extended-precision path and the only code that
-imports mpmath.  Chebyshev-model values report the ``extended_precision``
+imports mpmath.  Gap-model values report the ``extended_precision``
 branch as well.
 
 The kernel's running integral, K(x) = x^rho E_{rho,rho+1}(-lam x^rho), is
@@ -59,12 +72,13 @@ for K(b) - K(a), each b^{rho k} - a^{rho k} as b^{rho k} * -expm1(k ln q) with
 ln q = rho log1p((a-b)/b) for a > b/2, so close limits lose no digits.
 
 Array inputs are routed and evaluated in blocks of at most 32,768 points
-(``_BLOCK_POINTS``), so that a million-point call makes its many passes per
-asymptotic term in L2 cache and holds temporaries for one block, not for the
-whole input.  Every branch stops per point, so blocking changes no bit of
-the values, estimates or branch codes.  All functions are pure;
-the Chebyshev cache is append-only and idempotent, so concurrent builds
-are safe (worst case, duplicated work).
+(``_BLOCK_POINTS``), so that a million-point call makes its passes in L2
+cache and holds temporaries for one block, not for the whole input.  Every
+branch is elementwise, so blocking changes no bit of the values, estimates
+or branch codes.  All functions are pure; a model is built on the first
+block with a point in its zone, and the Chebyshev cache, one entry per
+(zone, rho, mu), is append-only and idempotent, so concurrent builds are
+safe (worst case, duplicated work).
 """
 
 from __future__ import annotations
@@ -190,7 +204,7 @@ def _series_many(rho: float, mu: float, t: np.ndarray):
     return out_v, out_e
 
 
-def _asym_many(rho: float, mu: float, t: np.ndarray):
+def _inverse_series_many(rho: float, mu: float, t: np.ndarray):
     """Inverse-power series with envelope-based stopping; needs s >= ~36."""
     n = t.size
     out_v = np.empty(n)
@@ -307,13 +321,14 @@ def _mp_eval(rho: float, mu: float, t: float):
     return val, est
 
 
-# --- Chebyshev model of the gap zone ----------------------------------------
+# --- Chebyshev models of the gap and asymptotic zones ------------------------
 #
 # The node values come from the real Hankel integral of the module docstring.
 # With r = e^v and u = v - log(x)/rho, its factor [..]/D equals g(u)/x for a g
 # that does not involve x, so one panel layout in u serves every x.
 
 _T_WIDE = 0.5  # the wide model's lower end in t; the series keeps t <= 0.5
+_T_FAR = 1e100  # the y = 1/t model's upper end in t; the inverse-power series keeps t above it
 # Gauss-Legendre panel edges at +-these offsets from the integrand's peak u = 0
 _PEAK_OFFSETS = np.array([0.01, 0.03, 0.1, 0.3, 1.0, 2.5, 5.0])
 _PANEL_WIDTH = 2.0  # longest panel between and beyond the offsets
@@ -325,14 +340,23 @@ _CHEB_NODES_MAX = 129
 
 @dataclass
 class _ChebModel:
-    tlo: float  # the lower end in t; the series keeps t <= tlo
-    vlo: float
-    vhi: float
+    """log(t**power E(-t)) as a Chebyshev series in x over [lo, hi], for t in [tlo, thi].
+
+    x is v = log t for the gap model (power 0) and y = 1/t for the
+    asymptotic one (power 1, or 2 when mu = rho).
+    """
+
+    tlo: float  # the lower end in t; below the gap model the series keeps t <= tlo
+    thi: float  # the upper end in t; above the asymptotic model the inverse series keeps t > thi
+    lo: float
+    hi: float
+    power: int
     coef: np.ndarray
     cert: float
 
 
-_CHEB_CACHE: dict[tuple[float, float], _ChebModel] = {}
+# one model per (build, rho, mu): build is _cheb_build or _asym_build
+_CHEB_CACHE: dict[tuple, _ChebModel] = {}
 _CHEB_LOCK = threading.Lock()
 
 
@@ -368,44 +392,60 @@ def _hankel_rule(rho: float, mu: float, vlo: float, vhi: float, order: int):
     return u, (half[:, None] * w).ravel() * g / math.pi
 
 
-def _hankel_log(rho: float, mu: float, v: np.ndarray, rule) -> np.ndarray:
-    """log E_{rho,mu}(-e^v) elementwise, as one (points x nodes) product."""
+def _hankel_log(rho: float, mu: float, v: np.ndarray, rule, power: int = 0) -> np.ndarray:
+    """log(e^{power v} E_{rho,mu}(-e^v)) elementwise, as one (points x nodes) product."""
     u, wg = rule
     log_r = u[None, :] + (v / rho)[:, None]
     with np.errstate(over="ignore", under="ignore"):
         f = np.exp((rho - mu + 1.0) * log_r - np.exp(log_r))
-    return np.log(f @ wg) - v
+    # f @ wg is e^v E(-e^v)
+    return np.log(f @ wg) + (power - 1) * v
 
 
-def _cheb_fit(rho: float, mu: float, tlo: float, vlo: float, vhi: float) -> _ChebModel:
-    """Chebyshev interpolant of log E(-e^v) on [vlo, vhi], certified at probes.
+def _cheb_fit(values, lo: float, hi: float, nnode: int):
+    """(coef, cert): a Chebyshev interpolant of values(x, 16) on [lo, hi], certified at probes.
 
-    vlo is log(tlo) as the caller rounds it; routing compares t with tlo.
+    values(x, order) is the modeled log at x from the order-node Hankel rule.
+    13 off-node probes take reference values from the 24-node rule; cert =
+    4 * (largest probe error + largest gap between the two rules), at least
+    1e-12.  The nodes double from nnode until the probe error is at most
+    _CHEB_STOP or their count reaches _CHEB_NODES_MAX; the best round is kept.
     """
-    rule = _hankel_rule(rho, mu, vlo, vhi, 16)
-    vp = vlo + (vhi - vlo) * (np.arange(1, 14) / 14.0)
-    wp = (2.0 * vp - vlo - vhi) / (vhi - vlo)
-    ref = _hankel_log(rho, mu, vp, _hankel_rule(rho, mu, vlo, vhi, 24))
+    xp = lo + (hi - lo) * (np.arange(1, 14) / 14.0)
+    wp = (2.0 * xp - lo - hi) / (hi - lo)
+    ref = values(xp, 24)
     # the probes' own error: the gap between the 16- and 24-node rules
-    gap = float(np.max(np.abs(np.expm1(_hankel_log(rho, mu, vp, rule) - ref))))
-    width = vhi - vlo
-    nnode = 17 if width < 0.4 else (25 if width < 1.0 else 33)
+    gap = float(np.max(np.abs(np.expm1(values(xp, 16) - ref))))
     best = None
     while True:
         theta = np.pi * (2 * np.arange(nnode) + 1) / (2 * nnode)
-        v = 0.5 * (vlo + vhi) + 0.5 * (vhi - vlo) * np.cos(theta)
-        g = _hankel_log(rho, mu, v, rule)
-        coef = (2.0 / nnode) * (np.cos(np.outer(np.arange(nnode), theta)) @ g)
+        x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
+        coef = (2.0 / nnode) * (np.cos(np.outer(np.arange(nnode), theta)) @ values(x, 16))
         coef[0] *= 0.5
         approx = np.polynomial.chebyshev.chebval(wp, coef)
         err = float(np.max(np.abs(np.expm1(approx - ref)))) + gap
-        model = _ChebModel(tlo, vlo, vhi, coef, max(4.0 * err, 1e-12))
-        if best is None or model.cert < best.cert:
-            best = model
+        cert = max(4.0 * err, 1e-12)
+        if best is None or cert < best[1]:
+            best = (coef, cert)
         if err <= _CHEB_STOP or nnode >= _CHEB_NODES_MAX:
-            break
+            return best
         nnode = 2 * nnode - 1
-    return best
+
+
+def _gap_fit(rho: float, mu: float, tlo: float, vlo: float, vhi: float) -> _ChebModel:
+    """The gap model of log E(-e^v) on [vlo, vhi].
+
+    vlo is log(tlo) as the caller rounds it; routing compares t with tlo.
+    """
+    rules = {n: _hankel_rule(rho, mu, vlo, vhi, n) for n in (16, 24)}
+    width = vhi - vlo
+    coef, cert = _cheb_fit(
+        lambda v, n: _hankel_log(rho, mu, v, rules[n]),
+        vlo,
+        vhi,
+        17 if width < 0.4 else (25 if width < 1.0 else 33),
+    )
+    return _ChebModel(tlo, _S_ASYM**rho, vlo, vhi, 0, coef, cert)
 
 
 def _cheb_build(rho: float, mu: float) -> _ChebModel:
@@ -414,33 +454,71 @@ def _cheb_build(rho: float, mu: float) -> _ChebModel:
     narrow_lo = (cut**rho, rho * math.log(cut))
     if mu < 0.45:
         # small mu: a model widened below s = 3 reaches only ~2e-10
-        return _cheb_fit(rho, mu, *narrow_lo, vhi)
-    model = _cheb_fit(rho, mu, _T_WIDE, math.log(_T_WIDE), vhi)
+        return _gap_fit(rho, mu, *narrow_lo, vhi)
+    model = _gap_fit(rho, mu, _T_WIDE, math.log(_T_WIDE), vhi)
     if model.cert > 1e-12:
         # near rho = 1 the onset of the algebraic tail is too sharp for the
         # widest model; the series then keeps s <= 5 as for mu < 0.45
-        narrow = _cheb_fit(rho, mu, *narrow_lo, vhi)
+        narrow = _gap_fit(rho, mu, *narrow_lo, vhi)
         if narrow.cert < model.cert:
             model = narrow
     return model
 
 
-def _cheb_get(rho: float, mu: float) -> _ChebModel:
-    key = (float(rho), float(mu))
+def _asym_build(rho: float, mu: float) -> _ChebModel:
+    """The asymptotic model of log(t**power E(-t)) in y = 1/t on [0, 36**-rho].
+
+    t E tends to 1/Gamma(mu - rho) as t grows; for mu = rho that vanishes
+    and t**2 E tends to -1/Gamma(-rho), so power is 2 there.
+    """
+    power = 2 if mu == rho else 1
+    tlo = _S_ASYM**rho
+    ymax = 1.0 / tlo
+    # the rules reach the smallest node a build can place, the 129-node one's
+    ymin = 0.5 * ymax * (1.0 - math.cos(math.pi / (2 * _CHEB_NODES_MAX)))
+    rules = {n: _hankel_rule(rho, mu, -math.log(ymax), -math.log(ymin), n) for n in (16, 24)}
+    coef, cert = _cheb_fit(
+        lambda y, n: _hankel_log(rho, mu, -np.log(y), rules[n], power), 0.0, ymax, 17
+    )
+    return _ChebModel(tlo, _T_FAR, 0.0, ymax, power, coef, cert)
+
+
+def _cheb_get(rho: float, mu: float, build=_cheb_build) -> _ChebModel:
+    """The model build(rho, mu), built on first use and cached."""
+    key = (build, float(rho), float(mu))
     model = _CHEB_CACHE.get(key)
     if model is None:
-        model = _cheb_build(rho, mu)
+        model = build(rho, mu)
         with _CHEB_LOCK:
             model = _CHEB_CACHE.setdefault(key, model)
     return model
 
 
-def _cheb_many(model: _ChebModel, t: np.ndarray):
-    v = np.log(t)
-    w = (2.0 * v - model.vlo - model.vhi) / (model.vhi - model.vlo)
+def _cheb_many(model: _ChebModel, x: np.ndarray):
+    """e^{the model's series} at its variable x, clipped to [lo, hi], and the certificates."""
+    w = (2.0 * x - model.lo - model.hi) / (model.hi - model.lo)
     w = np.clip(w, -1.0, 1.0)
     vals = np.exp(np.polynomial.chebyshev.chebval(w, model.coef))
-    return vals, np.full(t.size, model.cert)
+    return vals, np.full(x.size, model.cert)
+
+
+def _asym_many(rho: float, mu: float, t: np.ndarray):
+    """E_{rho,mu}(-t) for t >= 36**rho, the ``asymptotic`` zone: (values, estimates).
+
+    Pairs with 0 < rho < 1 and mu in {1, rho} take the y = 1/t model up to
+    the upper end it states; the inverse-power series takes the points
+    beyond it and every point of the other pairs.
+    """
+    if not (0.0 < rho < 1.0 and mu in (1.0, rho)):
+        return _inverse_series_many(rho, mu, t)
+    model = _cheb_get(rho, mu, _asym_build)
+    near = t <= model.thi
+    vals, ests = np.empty(t.size), np.empty(t.size)
+    y = 1.0 / t[near]
+    e_cheb, ests[near] = _cheb_many(model, y)
+    vals[near] = e_cheb * y**model.power
+    vals[~near], ests[~near] = _inverse_series_many(rho, mu, t[~near])
+    return vals, ests
 
 
 # --- routing -----------------------------------------------------------------
@@ -450,12 +528,13 @@ def _eval_many(rho: float, mu: float, t: np.ndarray):
     """Evaluate E_{rho,mu}(-t) elementwise: (values, est_rel_errors, branch codes).
 
     The flat input is routed and evaluated in blocks of at most
-    ``_BLOCK_POINTS`` points.  Each asymptotic term makes ~20 passes over its
-    points, so a million-point call run whole streams ~8 MB arrays from memory
-    on every pass and holds ~170 bytes of temporaries per point; a block keeps
-    those passes and the routing in L2 cache and bounds the temporaries by the
-    block.  Every branch is elementwise, each point stopping on its own, so
-    the result does not depend on the blocking.
+    ``_BLOCK_POINTS`` points.  Every branch makes many passes over its
+    points (about 20 per inverse-power term, 3 per Chebyshev
+    coefficient), so a million-point call run whole streams ~8 MB arrays
+    from memory on every pass; a block keeps those passes and the routing
+    in L2 cache and bounds the temporaries by the block.  Every branch is
+    elementwise, each point stopping on its own, so the result does not
+    depend on the blocking.
     """
     flat = np.asarray(t, dtype=float).ravel()
     if flat.size and (np.any(flat < 0.0) or not np.all(np.isfinite(flat))):
@@ -506,7 +585,7 @@ def _eval_block(rho: float, mu: float, t: np.ndarray, vals, ests, codes) -> None
         if np.any(~asy & (tr > t_lo)):
             model = _cheb_get(rho, mu)
             t_lo = model.tlo
-            gap = lambda x: _cheb_many(model, x)
+            gap = lambda x: _cheb_many(model, np.log(x))
     ser = tr <= t_lo
     for code, pick, run in (
         (_SER, ser, lambda x: _series_many(rho, mu, x)),

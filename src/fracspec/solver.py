@@ -157,6 +157,22 @@ def _as_spectral(obj, dimension: int) -> SpectralField:
     raise DomainError(f"cannot interpret {type(obj).__name__} as initial/source data")
 
 
+def _row_union(rows: np.ndarray):
+    """(union, where): the distinct rows in lexicographic order, and union[where] == rows.
+
+    np.unique(rows, axis=0, return_inverse=True) in effect, from one np.lexsort
+    of the columns and a comparison of neighbours instead of a sort of rows
+    viewed as records.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    where = np.empty(len(rows), dtype=np.intp)
+    where[order] = np.cumsum(first) - 1
+    return ranked[first], where
+
+
 def _coefficient_table(fields, dimension: int, k: int, inside: bool):
     """(rows, table): the rows any field holds inside the ball |n|^2 < k (inside)
     or on and beyond it (not inside), in modes_within (lexicographic) order,
@@ -164,7 +180,7 @@ def _coefficient_table(fields, dimension: int, k: int, inside: bool):
     """
     masks = [(_norm_sq(f._index) < k) == inside for f in fields]
     stacked = np.concatenate([f._index[m] for f, m in zip(fields, masks)]).reshape(-1, dimension)
-    union, where = np.unique(stacked, axis=0, return_inverse=True)
+    union, where = _row_union(stacked)
     table = np.zeros((len(fields), len(union)), dtype=complex)
     start = 0
     for row, f, m in zip(table, fields, masks):

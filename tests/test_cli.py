@@ -287,6 +287,12 @@ def cosine_source(profile):
         ({"regularity_exponent_a": "nan"}, "regularity_exponent_a"),
         ({"tolerance": math.nan}, "tolerance"),
         (cosine_source({"kind": "cosine", "omega": "nan"}), "omega"),
+        # size bounds: stated limits, never an array request that fails
+        ({"dt": 1e-300}, "dt"),
+        ({"dt": 5e-324}, "dt"),  # T/dt overflows to inf
+        ({"dimension": 1e20}, "dimension"),
+        ({"dimension": 30}, "dimension"),
+        ({"dimension": 8}, "grid_M"),  # 9**8 grid points per time slice
     ],
 )
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, overrides, key):

@@ -35,9 +35,9 @@ def mlf_reference(rho: float, mu: float, t: float) -> float:
     if rho == 1.0 and mu == 2.0:
         with mpmath.mp.workdps(60):
             return float((1 - mpmath.exp(-mpmath.mpf(t))) / mpmath.mpf(t))
-    s = t ** (1.0 / rho)
-    if s <= 80.0:
-        d = int(0.9 * s) + 45
+    # s = t**(1/rho) <= 80, compared in logs: s overflows a double for t = 1e100 at rho < 1/3
+    if math.log(t) <= rho * math.log(80.0):
+        d = int(0.9 * t ** (1.0 / rho)) + 45
         with mpmath.mp.workdps(d):
             rr, mm, tt = mpmath.mpf(rho), mpmath.mpf(mu), mpmath.mpf(t)
             tot = mpmath.mpf(0)
@@ -315,6 +315,53 @@ def test_model_near_rho_one_keeps_series_zone():
         assert rep.est_rel_error <= 1e-12
         ref = mlf_reference(rho, 1.0, t)
         assert abs(rep.value - ref) <= rep.est_rel_error * abs(ref), t
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999])
+@pytest.mark.parametrize("mu_kind", ["one", "rho"])
+def test_asymptotic_model_error_within_estimate(rho, mu_kind):
+    # the y = 1/t model: t log-uniform from 36**rho to 1e100 and, more
+    # densely, over its first four decades, plus 36**rho itself and one ulp
+    # either side of the upper end the model states (the inverse-power
+    # series takes the point above it)
+    mu = 1.0 if mu_kind == "one" else rho
+    model = mlf._cheb_get(rho, mu, mlf._asym_build)
+    assert model.cert <= 1e-12 and model.thi >= 1e100
+    lo, top = 36.0**rho, model.thi
+    rng = np.random.default_rng(40 + int(100 * rho))
+    ts = np.concatenate(
+        [
+            [lo, np.nextafter(top, 0.0), top, np.nextafter(top, np.inf)],
+            np.exp(rng.uniform(math.log(lo), math.log(1e100), 10)),
+            lo * 10.0 ** rng.uniform(0.0, 4.0, 6),
+        ]
+    )
+    vals, ests, codes = mlf.mlf_neg_array(mlf.MlfParams(rho, mu), ts)
+    assert np.all(codes == mlf._ASY)
+    for t, val, est in zip(ts, vals, ests):
+        ref = mlf_reference(rho, mu, float(t))
+        err = abs(val - ref) / abs(ref)
+        assert err <= est <= mlf.TARGET_REL, (rho, mu, t, err, est)
+        if t <= top:
+            assert est == model.cert, (rho, mu, t)
+
+
+def test_asymptotic_zone_near_rho_one_needs_no_extended_precision(monkeypatch):
+    # at s = 36..40 the inverse-power series certifies only ~1e-10 this close
+    # to rho = mu = 1, and the valve used to escalate those points; the
+    # y = 1/t model answers them with its own certificate
+    def forbidden(*args):
+        raise AssertionError("extended precision reached in the asymptotic zone")
+
+    monkeypatch.setattr(mlf, "_mp_value", forbidden)
+    rho = 0.9999
+    ts = np.linspace(36.0, 40.0, 9) ** rho
+    for mu in (rho, 1.0):
+        vals, ests, codes = mlf.mlf_neg_array(mlf.MlfParams(rho, mu), ts)
+        assert np.all(codes == mlf._ASY)
+        for t, val, est in zip(ts, vals, ests):
+            ref = mlf_reference(rho, mu, float(t))
+            assert abs(val - ref) <= est * abs(ref) and est <= 1e-12, (mu, t)
 
 
 def test_domain_errors():

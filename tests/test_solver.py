@@ -525,6 +525,20 @@ def test_tail_sums_shared_source_rows_before_the_peak():
     assert truncation_tail(spec, a, 2, 0.5) == pytest.approx(16.0**a * 4 + 9.0**a * 4, rel=1e-15)
 
 
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_row_union_matches_np_unique(dimension):
+    # rows drawn from a small box repeat often; negative components check
+    # that the order is numeric, not that of the rows' bytes
+    rng = np.random.default_rng(dimension)
+    for n in (0, 1, 7, 500):
+        rows = rng.integers(-4, 5, size=(n, dimension))
+        union, where = solver._row_union(rows)
+        want, want_where = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(union, want)
+        assert np.array_equal(where, want_where.ravel())
+        assert np.array_equal(union[where], rows)
+
+
 # --- per-shell solves ---------------------------------------------------------------
 
 
