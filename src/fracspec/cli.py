@@ -167,9 +167,7 @@ class RunConfig:
     """
 
     # command-line flags and the config keys they override
-    _FLAGS = {
-        "truncation": "truncation_radius_sq", "grid": "grid_M", "dt": "dt", "workers": "workers"
-    }
+    _FLAGS = {"truncation": "truncation_radius_sq", "grid": "grid_M", "dt": "dt"}
 
     def __init__(self, raw: dict, args):
         if not isinstance(raw, dict):
@@ -206,16 +204,12 @@ class RunConfig:
         if not isinstance(strict, bool):
             raise ConfigError(f"strict must be true or false, got {strict!r}")
         self.strict = strict or bool(getattr(args, "strict", False))
-        self.workers = _number(raw, "workers", int, None)
-        if self.workers is None and os.environ.get("FRACSPEC_WORKERS"):
-            self.workers = _number(os.environ, "FRACSPEC_WORKERS", int)
 
         for name, val in (
             ("truncation_radius_sq", self.truncation_radius_sq),
             ("grid_M", self.grid_M),
             ("dt", self.dt),
             ("mesh_M", self.mesh_M),
-            ("workers", 1 if self.workers is None else self.workers),
         ):
             if not val > 0:
                 raise ConfigError(f"{name} must be positive, got {val}")
@@ -254,7 +248,6 @@ class RunConfig:
             "grading_r": self.grading_r,
             "tolerance": self.tolerance,
             "strict": self.strict,
-            "workers": self.workers,
             "times": [float(t) for t in self.times],
             "n_source_terms": len(self.spec.source),
         }
@@ -338,7 +331,6 @@ def cmd_solve(args) -> int:
         grading_r=cfg.grading_r,
         tolerance=cfg.tolerance,
         strict=cfg.strict,
-        workers=cfg.workers,
     )
     failures = check_hypothesis(cfg.spec, cfg.spec.phi, cfg.spec.source)
     tail = truncation_tail(
@@ -376,7 +368,6 @@ def cmd_residual(args) -> int:
             grading_r=cfg.grading_r,
             tolerance=cfg.tolerance,
             strict=cfg.strict,
-            workers=cfg.workers,
         )
         reports.append(residual(sol, cfg.spec, dt))
     sup1, sup2 = reports[0].sup_residual, reports[1].sup_residual
@@ -467,16 +458,17 @@ def _read_coeff_csv(path: str) -> SpectralField:
 def cmd_norm(args) -> int:
     from .counterexample import critical_exponent
 
+    exponents = [_as_number(a, "a") for a in args.a]
     field = _read_coeff_csv(args.coeff_file)
     lines = ["a,liouville_norm_sq"]
-    for a in args.a:
-        lines.append(f"{_fmt(a)},{_fmt(liouville_norm_sq(field, float(a)))}")
+    for a in exponents:
+        lines.append(f"{_fmt(a)},{_fmt(liouville_norm_sq(field, a))}")
     max_r = math.isqrt(int(np.max(_norm_sq(field._index), initial=0)))
     critical: str
-    if len(args.a) >= 2 and len(field) > 0:
+    if len(exponents) >= 2 and len(field) > 0:
         try:
             decades = [10**j for j in range(1, 13) if 10**j <= max_r]
-            crit = critical_exponent(field, [float(a) for a in args.a], decades or [10])
+            crit = critical_exponent(field, exponents, decades or [10])
             critical = "inf" if math.isinf(crit) else _fmt(crit)
         except (InconclusiveError, DomainError):
             critical = "inconclusive"
@@ -510,7 +502,6 @@ def _build_parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=f"run the {name} workflow from a JSON config")
         q.add_argument("--config", required=True)
         q.add_argument("--strict", action="store_true")
-        q.add_argument("--workers", type=int, default=None)
         q.add_argument("--out", default=None)
         q.add_argument("--dt", type=float, default=None)
         q.add_argument("--truncation", type=int, default=None)

@@ -295,8 +295,9 @@ def solve_shells(
     tolerance, and a mode still above it at the ceiling raises
     ConvergenceError.  Its quadrature_error_est is that discrepancy, floored
     at 4 ulp of max_t |w_m| (the rounding of the values); a mode with no
-    convolution to refine has estimate 0.  A shell's
-    results do not depend on which other shells are solved with it.
+    convolution to refine has estimate 0.  A tolerance that is not positive
+    and finite raises DomainError.  A shell's results do not depend on which
+    other shells are solved with it.
 
     Returns (values, quadrature_error_est): a (modes x times) complex array
     and a (modes,) float array.
@@ -312,6 +313,8 @@ def solve_shells(
         raise DomainError(f"times must lie in [0, {mesh.T}]")
     if tolerance is None:
         tolerance = 1e-8 if rho == 1.0 else 1e-6
+    elif not 0.0 < tolerance < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tolerance}")
     phi = np.asarray(phi, dtype=complex)
     # a zero profile contributes nothing, as in TimeProfile.weighted_sum
     live = [i for i, p in enumerate(profiles) if not p.is_zero]

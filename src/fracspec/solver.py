@@ -320,7 +320,6 @@ def solve(
     grading_r: float | None = None,
     tolerance: float | None = None,
     strict: bool = False,
-    workers: int | None = None,
 ) -> SolutionField:
     """Assemble the truncated field solution at the requested times.
 
@@ -329,9 +328,7 @@ def solve(
     by modal.solve_shells: the modes with equal |n|^2 share their
     Mittag-Leffler values and kernel moments, each source profile's
     convolution is formed once per shell, and each mode still refines its
-    quadrature mesh to its own tolerance.  With workers > 1 the shells are
-    split into contiguous groups of about equal mode count, solved on a
-    process pool by the same function.
+    quadrature mesh to its own tolerance.
     In strict mode a failed smoothness gate raises RegularityError; otherwise
     failures are issued as warnings and the solve proceeds.
     """
@@ -353,39 +350,7 @@ def solve(
 
     mesh_r = default_grading(spec.rho) if grading_r is None else float(grading_r)
     mesh = GradedMesh(spec.T, mesh_M, mesh_r)
-    parts = [slice(None)]
-    if workers is not None and workers > 1:
-        # contiguous groups of shells, each cut at the first shell boundary
-        # past a multiple of modes / workers
-        order = np.argsort(lam, kind="stable")
-        _, shell_start = np.unique(lam[order], return_index=True)
-        edges = np.append(shell_start, lam.size)
-        cuts = edges[np.searchsorted(edges, lam.size * np.arange(1, workers) / workers)]
-        bounds = np.unique(np.concatenate([[0], cuts, [lam.size]]))
-        if bounds.size > 2:
-            parts = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    n = len(parts)
-    tasks = (
-        [spec.rho] * n,
-        [lam[p] for p in parts],
-        [phi[p] for p in parts],
-        [weights[p] for p in parts],
-        [profiles] * n,
-        [times_arr] * n,
-        [mesh] * n,
-        [tolerance] * n,
-    )
-    if n > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-            results = list(pool.map(solve_shells, *tasks))
-    else:
-        results = list(map(solve_shells, *tasks))
-    values = np.empty((lam.size, times_arr.size), dtype=complex)
-    est = np.empty(lam.size)
-    for p, (v, e) in zip(parts, results):
-        values[p], est[p] = v, e
+    values, est = solve_shells(spec.rho, lam, phi, weights, profiles, times_arr, mesh, tolerance)
 
     real = spec.phi.real_valued and all(g.real_valued and q.is_real for g, q in spec.source)
     return SolutionField(

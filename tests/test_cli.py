@@ -81,8 +81,8 @@ print("loaded:" + ",".join(m for m in ("mpmath", "scipy", "concurrent.futures.pr
 
 @pytest.mark.parametrize("argv", [[], ["mlf", "0.5", "1.0", "0.3", "2", "9", "60"]])
 def test_cold_cli_leaves_heavy_modules_unloaded(tmp_path, argv):
-    # mpmath is only the MLF escalation valve and the process pool only serves
-    # workers > 1, so neither is imported by an ordinary run
+    # mpmath is only the MLF escalation valve, and nothing starts a process
+    # pool, so neither is imported by an ordinary run
     src = str(Path(fracspec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
@@ -260,12 +260,12 @@ def cosine_source(profile):
 @pytest.mark.parametrize(
     "overrides, key",
     [
-        ({"workers": "two"}, "workers"),
-        ({"workers": 2.7}, "workers"),  # a count is never truncated
+        ({"tolerance": -1.0}, "tolerance"),
+        ({"tolerance": 0}, "tolerance"),
         ({"mesh_M": "lots"}, "mesh_M"),
         ({"dimension": "one"}, "dimension"),
         ({"tolerance": [1]}, "tolerance"),
-        ({"grid_M": 9.5}, "grid_M"),
+        ({"grid_M": 9.5}, "grid_M"),  # a count is never truncated
         ({"source": [{"g": {"builtin": "cosine_mode"}}]}, "'q'"),
         ({"source": [{"g": {"builtin": "cosine_mode"}, "q": {"kind": "cosine"}}]}, "'omega'"),
         ({"times": [0.0, "late"]}, "times"),
@@ -300,17 +300,6 @@ def test_malformed_config_values_are_config_errors(tmp_path, capsys, overrides, 
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err and "Traceback" not in err
-
-
-def test_workers_env_fallback(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path)
-    monkeypatch.setenv("FRACSPEC_WORKERS", "2")
-    out = tmp_path / "env run"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-    echo = json.loads((out / "diagnostics.json").read_text())["config"]
-    assert echo["workers"] == 2
-    monkeypatch.setenv("FRACSPEC_WORKERS", "many")
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
 
 
 # --- residual ---------------------------------------------------------------------
@@ -418,6 +407,17 @@ def test_norm_malformed_input(tmp_path, capsys):
     h = tmp_path / "text.csv"
     h.write_text("n_1,re,im\none,0.5,0\n")
     assert main(["norm", str(h), "--a", "1.0"]) == 1
+
+
+@pytest.mark.parametrize("a", ["nan", "inf", "-inf"])
+def test_norm_refuses_non_finite_exponent(tmp_path, capsys, a):
+    f = tmp_path / "cos.csv"
+    f.write_text("n_1,re,im\n1,0.5,0\n-1,0.5,0\n")
+    # "--a=-inf", since argparse reads a bare "-inf" as an option
+    assert main(["norm", str(f), f"--a={a}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "a must be finite" in captured.err
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

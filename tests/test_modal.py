@@ -28,6 +28,7 @@ from fracspec.modal import (
     default_grading,
     riemann_liouville_l1,
     solve_mode,
+    solve_shells,
     verify_cauchy,
 )
 from fracspec.mlf import MlfParams, mlf_kernel_primitive, mlf_neg
@@ -428,6 +429,17 @@ def test_solve_mode_validation():
         solve_mode(0.5, 1.0, 1.0, f, np.array([0.0, 1.5]), mesh)  # beyond T
     with pytest.raises(DomainError):
         solve_mode(0.5, 1.0, 1.0, f, np.array([]), mesh)
+    with pytest.raises(DomainError):
+        solve_mode(0.5, 1.0, 1.0, f, np.array([1.0]), mesh, tolerance=-1.0)
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, 0.0, math.nan, math.inf])
+def test_solve_shells_refuses_tolerance_not_positive_and_finite(tolerance):
+    with pytest.raises(DomainError, match="tolerance"):
+        solve_shells(
+            0.5, [1.0], [0.0], [[1.0]], [TimeProfile.constant(1.0)], np.array([1.0]),
+            GradedMesh(1.0, 4, 2.0), tolerance=tolerance,
+        )
 
 
 def test_solve_mode_convergence_error_on_unreachable_tolerance():

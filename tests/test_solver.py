@@ -218,18 +218,6 @@ def test_solve_validation():
         solve(spec, np.array([]), 2, 9)
 
 
-def test_solve_workers_match_serial():
-    spec = ProblemSpec(
-        dimension=1, rho=0.5, T=1.0, phi="cosine_mode",
-        source=((cos_field(2), TimeProfile.constant(1.0)),),
-    )
-    times = np.array([0.0, 0.5, 1.0])
-    serial = solve(spec, times, 5, 11)
-    parallel = solve(spec, times, 5, 11, workers=2)
-    for idx, s in serial.mode_solutions.items():
-        assert np.array_equal(s.values, parallel.mode_solutions[idx].values)
-
-
 def test_mode_history_absent_mode_is_zero():
     spec = ProblemSpec(dimension=1, rho=0.5, T=1.0, phi="cosine_mode")
     sol = solve(spec, np.array([0.0, 1.0]), 5, 11)
@@ -641,16 +629,23 @@ def test_solve_errors_through_shells():
         solve(spec, np.array([-0.1, 0.5]), 2, 5)  # negative
 
 
-def test_solve_workers_match_serial_across_shells():
+def test_solve_shells_results_independent_of_the_other_shells():
     spec = two_source_spec()
     times = np.linspace(0.0, 1.0, 5)
-    serial = solve(spec, times, 6, 7, mesh_M=4)
-    parallel = solve(spec, times, 6, 7, mesh_M=4, workers=2)
-    assert list(parallel.mode_solutions) == list(serial.mode_solutions)
-    for idx, s in serial.mode_solutions.items():
-        p = parallel.mode_solutions[idx]
-        assert np.array_equal(s.values, p.values)
-        assert s.quadrature_error_est == p.quadrature_error_est
+    index, phi, weights = solver._solved_modes(spec, 6)
+    lam = spectra._norm_sq(index).astype(float)
+    profiles = [q for _g, q in spec.source]
+    mesh = GradedMesh(1.0, 4, default_grading(0.5))
+
+    def shells(rows):
+        return modal.solve_shells(0.5, lam[rows], phi[rows], weights[rows], profiles, times, mesh)
+
+    values, est = shells(slice(None))
+    # shells 0, 1, 2 in one call and shells 4, 5 in another
+    for rows in (lam < 4.0, lam >= 4.0):
+        part_values, part_est = shells(rows)
+        assert np.array_equal(part_values, values[rows])
+        assert np.array_equal(part_est, est[rows])
 
 
 def test_residual_blocks_match_one_batch(monkeypatch):
