@@ -46,6 +46,7 @@ _USER_ERRORS = (ConfigError, DomainError, AliasError, MeshError, AccuracyError)
 _MAX_STEPS = 1 << 20  # time steps T/dt (residual halves dt once more)
 _MAX_GRID_POINTS = 1 << 24  # grid_M**dimension points in each synthesized time slice
 _MAX_DIMENSION = 15  # 3**15 points, the smallest grid (grid_M = 3), still within the bound
+_MAX_K_MAX = 1 << 24  # Hardy-Littlewood coefficients, 16 bytes each, and the arrays made from them
 
 
 def _fmt(x: float) -> str:
@@ -61,7 +62,7 @@ def _parse_field(obj, dimension: int) -> SpectralField:
     if "builtin" in obj:
         params = {key: _parse_scalar(obj[key], key) for key in ("amplitude", "value") if key in obj}
         if obj.get("k_max") is not None:
-            params["k_max"] = _number(obj, "k_max", int)
+            params["k_max"] = _bounded_k_max(_number(obj, "k_max", int))
         if obj.get("mode") is not None:
             mode = obj["mode"] if isinstance(obj["mode"], list) else [obj["mode"]]
             params["mode"] = [_as_number(c, "mode", int) for c in mode]
@@ -93,6 +94,12 @@ def _rows_field(rows, dimension: int) -> SpectralField:
         return SpectralField.from_arrays(index, values, k, real_valued=True)
     except DomainError:  # not Hermitian; a repeated index raises again below
         return SpectralField.from_arrays(index, values, k)
+
+
+def _bounded_k_max(k_max: int) -> int:
+    if k_max > _MAX_K_MAX:
+        raise ConfigError(f"k_max must be at most {_MAX_K_MAX}, got {k_max}")
+    return k_max
 
 
 def _parse_profile(obj) -> TimeProfile:
@@ -405,7 +412,7 @@ def _data_scale(cfg: RunConfig) -> float:
 
 
 def cmd_counterexample(args) -> int:
-    k_max = int(args.k_max)
+    k_max = _bounded_k_max(int(args.k_max))
     if k_max < 200:
         raise ConfigError(f"k_max must be >= 200 for a meaningful fit, got {k_max}")
     datum = hl_coefficients(k_max)

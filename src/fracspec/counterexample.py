@@ -36,12 +36,13 @@ class HLDatum:
     def field(self, limit: int | None = None) -> SpectralField:
         """Materialize a SpectralField truncated at |n| <= limit."""
         top = self.k_max if limit is None else min(int(limit), self.k_max)
-        n = np.arange(1, top + 1)
+        n = np.arange(1, top + 1, dtype=np.int64)
         vals = self.coeffs_pos[: n.size]
         # rows 1, -1, 2, -2, ...: each n followed by its conjugate mirror
         index = np.column_stack([n, -n]).reshape(-1, 1)
         values = np.column_stack([vals, vals.conj()]).ravel()
-        return SpectralField.from_arrays(index, values, top * top + 1, real_valued=True)
+        # rows +-n are distinct and inside |n|^2 < top^2 + 1, with conjugate values
+        return SpectralField._from_valid(index, values, top * top + 1, real_valued=True)
 
     def moduli(self) -> np.ndarray:
         return np.abs(self.coeffs_pos)

@@ -75,10 +75,14 @@ Array inputs are routed and evaluated in blocks of at most 32,768 points
 (``_BLOCK_POINTS``), so that a million-point call makes its passes in L2
 cache and holds temporaries for one block, not for the whole input.  Every
 branch is elementwise, so blocking changes no bit of the values, estimates
-or branch codes.  All functions are pure; a model is built on the first
-block with a point in its zone, and the Chebyshev cache, one entry per
-(zone, rho, mu), is append-only and idempotent, so concurrent builds are
-safe (worst case, duplicated work).
+or branch codes.  A block whose nonzero points one zone holds is evaluated
+in place: the zone's branch runs on the block itself and writes into its
+slice of the output, with no index gather or scatter and the same bits as
+a mixed block; the Chebyshev series are summed on preallocated buffers in
+numpy chebval's operation order.  All functions are pure; a model is built
+on the first block with a point in its zone, and the Chebyshev cache, one
+entry per (zone, rho, mu), is append-only and idempotent, so concurrent
+builds are safe (worst case, duplicated work).
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -148,15 +153,26 @@ def _series_cut(mu: float) -> float:
     return 5.0 if mu >= 0.45 else 3.0
 
 
-# E_{1,1}(-t) = e^{-t} and E_{1,2}(-t) = (1 - e^{-t})/t, for t > 0
-_CLOSED_FORMS = {(1.0, 1.0): lambda t: np.exp(-t), (1.0, 2.0): lambda t: -np.expm1(-t) / t}
+# E_{1,1}(-t) = e^{-t} and E_{1,2}(-t) = (1 - e^{-t})/t, for t > 0, written into out
+_CLOSED_FORMS = {
+    (1.0, 1.0): lambda t, out: np.exp(-t, out=out),
+    (1.0, 2.0): lambda t, out: np.divide(-np.expm1(-t), t, out=out),
+}
 
 
-def _series_many(rho: float, mu: float, t: np.ndarray):
-    """Compensated direct series; t restricted to the series trust zone."""
+def _outputs(n: int, out_v, out_e):
+    """The arrays a branch writes its values and estimates into: the given ones, or new."""
+    return (np.empty(n) if out_v is None else out_v), (np.empty(n) if out_e is None else out_e)
+
+
+def _series_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e=None):
+    """Compensated direct series; t restricted to the series trust zone.
+
+    Writes (values, estimates) into out_v, out_e (new arrays when None) and
+    returns them.
+    """
     n = t.size
-    out_v = np.empty(n)
-    out_e = np.empty(n)
+    out_v, out_e = _outputs(n, out_v, out_e)
     pos = np.arange(n)
     tw = np.array(t, dtype=float)
     s = np.zeros(n)
@@ -204,11 +220,14 @@ def _series_many(rho: float, mu: float, t: np.ndarray):
     return out_v, out_e
 
 
-def _inverse_series_many(rho: float, mu: float, t: np.ndarray):
-    """Inverse-power series with envelope-based stopping; needs s >= ~36."""
+def _inverse_series_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e=None):
+    """Inverse-power series with envelope-based stopping; needs s >= ~36.
+
+    Writes (values, estimates) into out_v, out_e (new arrays when None) and
+    returns them.
+    """
     n = t.size
-    out_v = np.empty(n)
-    out_e = np.empty(n)
+    out_v, out_e = _outputs(n, out_v, out_e)
     pos = np.arange(n)
     tw = np.array(t, dtype=float)
     lnt = np.log(tw)
@@ -494,12 +513,51 @@ def _cheb_get(rho: float, mu: float, build=_cheb_build) -> _ChebModel:
     return model
 
 
-def _cheb_many(model: _ChebModel, x: np.ndarray):
-    """e^{the model's series} at its variable x, clipped to [lo, hi], and the certificates."""
-    w = (2.0 * x - model.lo - model.hi) / (model.hi - model.lo)
-    w = np.clip(w, -1.0, 1.0)
-    vals = np.exp(np.polynomial.chebyshev.chebval(w, model.coef))
-    return vals, np.full(x.size, model.cert)
+def _cheb_many(model: _ChebModel, x: np.ndarray, out_v=None, out_e=None):
+    """e^{the model's series} at its variable x, clipped to [lo, hi], and the certificates.
+
+    Writes (values, certificates) into out_v, out_e (new arrays when None)
+    and returns them; x is overwritten with the normalized variable.  The
+    series is summed by Clenshaw's recurrence in numpy chebval's operation
+    order, so every bit is chebval's, on three buffers and out_v.
+    """
+    out_v, out_e = _outputs(x.size, out_v, out_e)
+    w = x
+    w *= 2.0
+    w -= model.lo
+    w -= model.hi
+    w /= model.hi - model.lo
+    np.clip(w, -1.0, 1.0, out=w)
+    c = model.coef
+    x2 = 2.0 * w
+    c0, c1, spare = np.full_like(w, c[-2]), np.full_like(w, c[-1]), out_v
+    for i in range(3, len(c) + 1):
+        # chebval's step: c0, c1 = c[-i] - c1, c0 + c1*x2
+        np.multiply(c1, x2, out=spare)
+        spare += c0
+        np.subtract(c[-i], c1, out=c0)
+        c1, spare = spare, c1
+    # chebval's result c0 + c1*w; out_v is c1 or spare here, never c0
+    np.multiply(c1, w, out=out_v)
+    out_v += c0
+    np.exp(out_v, out=out_v)
+    out_e.fill(model.cert)
+    return out_v, out_e
+
+
+def _asym_model(model: _ChebModel, t: np.ndarray, out_v, out_e) -> None:
+    """The y = 1/t model at every point t, written into out_v, out_e."""
+    y = 1.0 / t
+    scale = y**model.power
+    _cheb_many(model, y, out_v, out_e)
+    out_v *= scale
+
+
+def _gathered(run, x: np.ndarray, idx: np.ndarray, vals, ests) -> None:
+    """run(x[idx], v, e) into new arrays, scattered into vals and ests at idx."""
+    v, e = np.empty(idx.size), np.empty(idx.size)
+    run(x[idx], v, e)
+    vals[idx], ests[idx] = v, e
 
 
 def _asym_many(rho: float, mu: float, t: np.ndarray):
@@ -507,17 +565,18 @@ def _asym_many(rho: float, mu: float, t: np.ndarray):
 
     Pairs with 0 < rho < 1 and mu in {1, rho} take the y = 1/t model up to
     the upper end it states; the inverse-power series takes the points
-    beyond it and every point of the other pairs.
+    beyond it and every point of the other pairs.  t is not empty.
     """
     if not (0.0 < rho < 1.0 and mu in (1.0, rho)):
         return _inverse_series_many(rho, mu, t)
     model = _cheb_get(rho, mu, _asym_build)
-    near = t <= model.thi
     vals, ests = np.empty(t.size), np.empty(t.size)
-    y = 1.0 / t[near]
-    e_cheb, ests[near] = _cheb_many(model, y)
-    vals[near] = e_cheb * y**model.power
-    vals[~near], ests[~near] = _inverse_series_many(rho, mu, t[~near])
+    if t.max() <= model.thi:
+        _asym_model(model, t, vals, ests)
+        return vals, ests
+    near = t <= model.thi
+    _gathered(partial(_asym_model, model), t, np.flatnonzero(near), vals, ests)
+    _gathered(partial(_inverse_series_many, rho, mu), t, np.flatnonzero(~near), vals, ests)
     return vals, ests
 
 
@@ -537,7 +596,8 @@ def _eval_many(rho: float, mu: float, t: np.ndarray):
     depend on the blocking.
     """
     flat = np.asarray(t, dtype=float).ravel()
-    if flat.size and (np.any(flat < 0.0) or not np.all(np.isfinite(flat))):
+    # min is NaN when any point is, and NaN >= 0 is false
+    if flat.size and not (flat.min() >= 0.0 and flat.max() < math.inf):
         raise DomainError("t must be finite and nonnegative")
     n = flat.size
     vals = np.empty(n)
@@ -549,53 +609,42 @@ def _eval_many(rho: float, mu: float, t: np.ndarray):
     return vals, ests, codes
 
 
+def _uncertified(x, out_v, out_e) -> None:
+    # a pair without a model leaves its gap points to the valve
+    out_v.fill(np.nan)
+    out_e.fill(np.inf)
+
+
 def _eval_block(rho: float, mu: float, t: np.ndarray, vals, ests, codes) -> None:
     """Route the points t and write their results into the views vals, ests, codes.
 
     Each point's zone is read off t against its pair's bounds: asymptotic for
     t >= 36**rho, the gap model above the lower end the model states, the
-    series at or below it.
+    series at or below it.  A zone that holds every point of the block runs
+    its branch on t itself, writing into the views; in a mixed block each
+    zone's points are gathered, evaluated and scattered back.  Zeros take the
+    block's largest point first, so they join a zone that holds points
+    already, and get their own value, 1/Gamma(mu), after the branches.
     """
-    zero = t == 0.0
-    if zero.any():
-        # libm gamma is exact at integers, so E(0) = 1 comes out exactly 1
-        vals[zero] = 1.0 / math.gamma(mu)
-        ests[zero] = 8.0 * _EPS
-        codes[zero] = _SER
-
-    rest = np.flatnonzero(~zero)
-    if rest.size == 0:
-        return
-
-    closed = _CLOSED_FORMS.get((rho, mu))
-    if closed:
-        vals[rest] = closed(t[rest])
-        ests[rest] = 4.0 * _EPS
-        codes[rest] = _CLO
-        return
-
-    tr = t[rest]
-    asy = tr >= _S_ASYM**rho
-    t_lo = _series_cut(mu) ** rho
-    # a pair without a model leaves its gap points uncertified, to the valve
-    gap = lambda x: (np.full(x.size, np.nan), np.full(x.size, np.inf))
-    if 0.0 < rho < 1.0 and rho <= mu <= 1.0:  # the pairs with a model
-        if mu >= 0.45:
-            t_lo = _T_WIDE  # the wide model's end; its build may state cut**rho
-        if np.any(~asy & (tr > t_lo)):
-            model = _cheb_get(rho, mu)
-            t_lo = model.tlo
-            gap = lambda x: _cheb_many(model, np.log(x))
-    ser = tr <= t_lo
-    for code, pick, run in (
-        (_SER, ser, lambda x: _series_many(rho, mu, x)),
-        (_ASY, asy, lambda x: _asym_many(rho, mu, x)),
-        (_EXT, ~(ser | asy), gap),
-    ):
-        if pick.any():
-            idx = rest[pick]
-            vals[idx], ests[idx] = run(tr[pick])
-            codes[idx] = code
+    n = t.size
+    zero = np.flatnonzero(t == 0.0)
+    x = t
+    if zero.size:
+        x = t.copy()
+        x[zero] = t.max()
+    if x[0] > 0.0:  # a block of zeros alone needs no branch
+        for code, pick, count, run in _zones(rho, mu, x):
+            if count == n:  # one zone holds the block
+                run(x, vals, ests)
+                codes.fill(code)
+            elif count:
+                idx = np.flatnonzero(pick)
+                _gathered(run, x, idx, vals, ests)
+                codes[idx] = code
+    # libm gamma is exact at integers, so E(0) = 1 comes out exactly 1
+    vals[zero] = 1.0 / math.gamma(mu)
+    ests[zero] = 8.0 * _EPS
+    codes[zero] = _SER
 
     # correctness valve: anything not certified re-runs at extended precision
     bad = np.flatnonzero(ests > TARGET_REL)
@@ -608,6 +657,47 @@ def _eval_block(rho: float, mu: float, t: np.ndarray, vals, ests, codes) -> None
         raise AccuracyError(
             f"no branch certifies {TARGET_REL:g} at rho={rho}, mu={mu}, t={t[j]}"
         )
+
+
+def _zones(rho: float, mu: float, x: np.ndarray):
+    """(code, points, count, run) for each zone of the positive points x.
+
+    points is a mask of x, left None where the zone holds none or all of
+    them; run(x, v, e) writes the zone's values and estimates into v and e.
+    """
+    n = x.size
+    closed = _CLOSED_FORMS.get((rho, mu))
+    if closed:
+        def closed_form(x, v, e):
+            closed(x, v)
+            e.fill(4.0 * _EPS)
+
+        return ((_CLO, None, n, closed_form),)
+    asy = x >= _S_ASYM**rho
+    n_asy = int(np.count_nonzero(asy))
+    t_lo = _series_cut(mu) ** rho
+    gap = _uncertified
+    if 0.0 < rho < 1.0 and rho <= mu <= 1.0:  # the pairs with a model
+        if mu >= 0.45:
+            t_lo = _T_WIDE  # the wide model's end; its build may state cut**rho
+        if n_asy + np.count_nonzero(x <= t_lo) < n:
+            model = _cheb_get(rho, mu)
+            t_lo = model.tlo
+            gap = lambda x, v, e: _cheb_many(model, np.log(x), v, e)
+    ser = x <= t_lo
+    n_ser = int(np.count_nonzero(ser))
+    n_gap = n - n_ser - n_asy
+
+    def asym(x, v, e):
+        # _asym_many keeps its (values, estimates) return: the valve's tests
+        # substitute it
+        v[...], e[...] = _asym_many(rho, mu, x)
+
+    return (
+        (_SER, ser, n_ser, partial(_series_many, rho, mu)),
+        (_ASY, asy, n_asy, asym),
+        (_EXT, ~(ser | asy) if 0 < n_gap < n else None, n_gap, gap),
+    )
 
 
 # --- public operations -------------------------------------------------------

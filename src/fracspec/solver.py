@@ -287,6 +287,8 @@ class SolutionField:
         return float(np.max(self.quadrature_error_est, initial=0.0))
 
     def spectral_at(self, time_index: int) -> SpectralField:
+        # a SolutionField may be built by hand, so its rows and its Hermitian
+        # flag are checked here
         return SpectralField.from_arrays(
             self.index,
             self.values[:, time_index],

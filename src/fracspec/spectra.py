@@ -259,6 +259,13 @@ class SpectralField:
         k = _check_radius(truncation_radius_sq, index.shape[1])
         _check_ball(index, k)
         _check_rows(index, values, bool(real_valued))
+        return cls._from_valid(index, values, k, real_valued)
+
+    @classmethod
+    def _from_valid(cls, index, values, k, real_valued=False) -> "SpectralField":
+        """Field on rows the caller built valid: distinct int64 rows inside the
+        ball |n|^2 < k, Hermitian when real_valued.  Nothing is checked; the
+        arrays, which the caller must own, become read-only."""
         field = cls.__new__(cls)
         field._store(index, values, k, real_valued, None)
         return field
@@ -376,7 +383,9 @@ def analyze(g: GridField, truncation_radius_sq: int) -> SpectralField:
         # enforce exact Hermitian symmetry against FFT rounding fuzz; the ball is
         # point-symmetric and lexicographic, so row i's mirror is row n-1-i
         values = 0.5 * (values + values[::-1].conj())
-    return SpectralField.from_arrays(index, values, k, real_valued=real)
+    # the ball's rows are distinct and inside it, and the symmetrized values
+    # are exactly Hermitian (a sum and its mirror add the same two terms)
+    return SpectralField._from_valid(index, values, k, real_valued=real)
 
 
 def _synthesize_rows(index, rows, truncation_radius_sq, points_per_axis) -> np.ndarray:
@@ -497,7 +506,9 @@ def apply_fractional_power(c: SpectralField, tau: float) -> SpectralField:
     # the zero mode is set apart: 0 for tau > 0, kept (it is 0) for tau < 0
     scaled = _shell_pow(np.maximum(norm_sq, 1), 0.0, tau) * c._values
     values = np.where(zero, 0j if tau > 0.0 else c._values, scaled)
-    return SpectralField.from_arrays(
+    # c's rows, and one real factor per shell |n|^2 scales n and -n alike, so
+    # the result is Hermitian as c is
+    return SpectralField._from_valid(
         c._index, values, c.truncation_radius_sq, real_valued=c.real_valued
     )
 
@@ -510,7 +521,8 @@ def apply_derivative_symbol(c: SpectralField, alpha: DerivMultiIndex) -> Spectra
         )
     symbol = _derivative_symbol(c._index, alpha)
     keep = symbol != 0.0
-    return SpectralField.from_arrays(
+    # a subset of c's rows, and the result claims no Hermitian symmetry
+    return SpectralField._from_valid(
         c._index[keep], (symbol * c._values)[keep], c.truncation_radius_sq
     )
 

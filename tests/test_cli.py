@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import fracspec
+from fracspec import cli
 from fracspec.cli import main
 from fracspec.counterexample import hl_coefficients
 from fracspec.spectra import MultiIndex
@@ -357,6 +358,18 @@ def test_counterexample_scaled_time(tmp_path):
 def test_counterexample_rejects_bad_params(capsys):
     assert main(["counterexample", "1.0", "1", "20000"]) == 1  # classical limit
     assert main(["counterexample", "0.5", "1", "50"]) == 1  # k_max too small
+
+
+def test_k_max_above_its_bound_is_a_config_error(tmp_path, capsys):
+    # refused before 16 bytes per coefficient are allocated, on both paths
+    too_big = cli._MAX_K_MAX + 1
+    assert main(["counterexample", "0.5", "1", str(too_big)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "k_max" in err
+    cfg = write_config(tmp_path, phi={"builtin": "hardy_littlewood", "k_max": too_big})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "k_max" in err and "Traceback" not in err
 
 
 # --- norm -------------------------------------------------------------------------

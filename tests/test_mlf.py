@@ -261,6 +261,82 @@ def test_blocked_evaluation_raises_same_accuracy_error(monkeypatch):
     )
 
 
+# (rho, mu, lo, hi, code): points log-uniform in [lo, hi] that one zone holds
+SINGLE_ZONES = [
+    (0.5, 1.0, 1e-6, 0.5, mlf._SER),
+    (0.5, 1.0, 0.51, 5.9, mlf._EXT),  # the gap model
+    (0.5, 1.0, 6.0, 1e100, mlf._ASY),  # the y = 1/t model
+    (0.5, 1.0, 6.0, 1e150, mlf._ASY),  # and the inverse-power series past 1e100
+    (1.0, 1.0, 1e-3, 700.0, mlf._CLO),
+    (0.5, 1.3, 2.3, 5.9, mlf._EXT),  # no model: every point goes to the valve
+]
+
+
+@pytest.mark.parametrize("rho, mu, lo, hi, code", SINGLE_ZONES)
+@pytest.mark.parametrize("zeros", [0, 3])
+def test_single_zone_block_matches_mixed_array_and_lone_calls(
+    monkeypatch, rho, mu, lo, hi, code, zeros
+):
+    # a block that one zone holds is evaluated in place; its values,
+    # estimates and codes are the bits the same points get inside a shuffled
+    # mixed array and from lone calls
+    params = mlf.MlfParams(rho, mu)
+    rng = np.random.default_rng(11)
+    n = 6 if code == mlf._EXT and mu > 1.0 else 40
+    ts = np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+    ts[:zeros] = 0.0
+    mixed = np.concatenate([ts, blocking_probe_points()])
+    order = rng.permutation(mixed.size)
+    got = [a[np.argsort(order)][:n] for a in mlf.mlf_neg_array(params, mixed[order])]
+    if hi <= 1e100:
+        # the in-place block gathers and scatters no index
+        def forbidden(*args):
+            raise AssertionError("a single-zone block was gathered")
+
+        monkeypatch.setattr(mlf, "_gathered", forbidden)
+    alone = mlf.mlf_neg_array(params, ts)
+    assert set(alone[2][zeros:].tolist()) == {code}
+    for a, b in zip(alone, got):
+        assert a.tobytes() == b.tobytes()
+    for i, t in enumerate(ts.tolist()):
+        rep = mlf.mlf_neg(params, t)
+        lone = np.array([rep.value, rep.est_rel_error])
+        assert lone.tobytes() == np.array([alone[0][i], alone[1][i]]).tobytes(), t
+        assert rep.branch is mlf.branch_from_code(alone[2][i])
+
+
+@pytest.mark.parametrize("rho, mu", [(0.5, 1.0), (0.7, 1.0), (0.3, 0.3)])
+@pytest.mark.parametrize("build", [mlf._cheb_build, mlf._asym_build])
+def test_cheb_many_equals_chebval_bit_for_bit(rho, mu, build):
+    # the in-place Clenshaw sum keeps numpy chebval's operation order; x
+    # also runs past both ends, where w is clipped
+    model = mlf._cheb_get(rho, mu, build)
+    w = np.concatenate([[-1.0, 1.0, -1.5, 1.5], np.random.default_rng(5).uniform(-1, 1, 10**4)])
+    x = 0.5 * (model.lo + model.hi) + 0.5 * (model.hi - model.lo) * w
+    want_w = np.clip((2.0 * x - model.lo - model.hi) / (model.hi - model.lo), -1.0, 1.0)
+    want = np.exp(np.polynomial.chebyshev.chebval(want_w, model.coef))
+    vals, ests = mlf._cheb_many(model, x.copy())
+    assert vals.tobytes() == want.tobytes()
+    assert np.all(ests == model.cert)
+
+
+def test_single_zone_block_escalates_uncertified_points(monkeypatch):
+    # every point asymptotic, so the block is evaluated in place; the points
+    # whose estimate _asym_many leaves uncertified still go to the valve
+    real = mlf._asym_many
+
+    def uncertified_near(rho, mu, t):
+        v, e = real(rho, mu, t)
+        return v, np.where(t < 50.0, 1.0, e)
+
+    monkeypatch.setattr(mlf, "_asym_many", uncertified_near)
+    ts = np.array([7.0, 60.0, 9.0, 1e4])
+    vals, ests, codes = mlf.mlf_neg_array(mlf.MlfParams(0.5, 1.0), ts)
+    assert codes.tolist() == [mlf._EXT, mlf._ASY, mlf._EXT, mlf._ASY]
+    assert np.all(ests <= mlf.TARGET_REL)
+    np.testing.assert_allclose(vals, scipy.special.erfcx(ts), rtol=2e-10)
+
+
 def test_million_point_call_temporaries_stay_per_block():
     # ~17 MB is the result itself; the unblocked evaluator peaked at ~130 MB here
     ts = np.geomspace(1e-3, 1e8, 10**6)

@@ -366,6 +366,30 @@ def test_from_arrays_matches_dict_field():
     assert np.array_equal(synthesize(arr, 9).samples, synthesize(dct, 9).samples)
 
 
+def test_unchecked_rebuilds_hold_rows_the_checks_accept():
+    # analyze, HLDatum.field and the two spectral operators build their fields
+    # without the row checks; what they build must pass them, and analyze's
+    # symmetrized values are Hermitian exactly, not to the checks' 1e-12
+    rng = np.random.default_rng(8)
+    real = analyze(GridField(rng.standard_normal((9, 9, 9))), 17)
+    cplx = analyze(GridField(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))), 17)
+    assert real.real_valued and not cplx.real_valued
+    assert np.array_equal(real._values[::-1], real._values.conj())
+    built = [real, cplx, hl_coefficients(300).field(), hl_coefficients(300).field(40)]
+    built += [apply_fractional_power(f, 0.6) for f in built]
+    # the HL field has no zero mode, so it also takes a negative power
+    built.append(apply_fractional_power(built[2], -0.6))
+    built += [
+        apply_derivative_symbol(f, DerivMultiIndex((1,) + (0,) * (f.dimension - 1)))
+        for f in built
+    ]
+    for f in built:
+        assert f._index.dtype == np.int64 and f._values.dtype == complex
+        assert not (f._index.flags.writeable or f._values.flags.writeable)
+        spectra._check_ball(f._index, f.truncation_radius_sq)
+        spectra._check_rows(f._index, f._values, f.real_valued)
+
+
 def power_law_shells(dim, radius, b):
     """Radii 0 < |n| < radius in Z^dim, with |c_n|^2 = (1+|n|^2)^-b summed per radius."""
     axis = np.arange(-radius, radius + 1) ** 2
