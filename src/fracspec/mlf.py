@@ -22,17 +22,17 @@ bounds, each stated in t (s >= 36 if and only if t >= 36**rho):
   below, and it is certified as the gap model is: 13 off-node probes
   against the 24-node rule, nodes doubled from 17 until the probe error is
   at most 2.5e-13, cert = 4 * (probe error + rule gap), at least 1e-12.
-  E is smooth at y = 0, so the series holds past its last node; up to the
-  upper end it states, t = 1e100, it is pinned against mpmath.  Past that
-  end, and for every other pair, the inverse-power series
-  Sum_{k>=1} (-1)^{k+1} t^{-k}/Gamma(mu-rho k) answers, stopped by a
-  smooth term envelope.  Near-pole terms dip far below the envelope (and
-  pole terms vanish exactly), so raw term magnitudes are useless for
-  stopping; the envelope t^{-k}*Gamma(1+rho*k-mu)/pi is what decays and
-  then grows.  At s = 36 the envelope minimum certifies no better than
-  ~1e-10 near rho = mu = 1, where the valve took such points before the
-  model did, and machine precision for s >= 50; past 1e100 it stops in
-  1-3 terms.
+  E is smooth at y = 0, so the series holds past its last node, and the
+  model covers the whole zone for its pairs; it is pinned against mpmath
+  up to t = 1e300 (1e150 for mu = rho, whose E ~ t^-2 leaves the normal
+  doubles near 1e152-1e154 and reads 0.0 from ~1e160 on).  Only pairs
+  without a model take the inverse-power series
+  Sum_{k>=1} (-1)^{k+1} t^{-k}/Gamma(mu-rho k), stopped by a smooth term
+  envelope.  Near-pole terms dip far below the envelope (and pole terms
+  vanish exactly), so raw term magnitudes are useless for stopping; the
+  envelope t^{-k}*Gamma(1+rho*k-mu)/pi is what decays and then grows.  At
+  s = 36 the envelope minimum certifies no better than ~1e-10 near
+  rho = mu = 1, and machine precision for s >= 50.
 * the gap zone in between, for 0 < rho < 1 and rho <= mu <= 1: a per-(rho, mu)
   Chebyshev interpolant of log E(-e^v), v = log t, over t from its lower
   end, 0.5 (mu >= 0.45) or 3**rho (mu < 0.45), up to 36**rho.  Its node
@@ -223,7 +223,9 @@ def _series_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e=None):
 def _inverse_series_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e=None):
     """Inverse-power series with envelope-based stopping; needs s >= ~36.
 
-    Writes (values, estimates) into out_v, out_e (new arrays when None) and
+    It serves the asymptotic zone of the pairs without a y = 1/t model
+    (mu not in {1, rho}, and rho = 1 outside the closed forms).  Writes
+    (values, estimates) into out_v, out_e (new arrays when None) and
     returns them.
     """
     n = t.size
@@ -347,7 +349,6 @@ def _mp_eval(rho: float, mu: float, t: float):
 # that does not involve x, so one panel layout in u serves every x.
 
 _T_WIDE = 0.5  # the wide model's lower end in t; the series keeps t <= 0.5
-_T_FAR = 1e100  # the y = 1/t model's upper end in t; the inverse-power series keeps t above it
 # Gauss-Legendre panel edges at +-these offsets from the integrand's peak u = 0
 _PEAK_OFFSETS = np.array([0.01, 0.03, 0.1, 0.3, 1.0, 2.5, 5.0])
 _PANEL_WIDTH = 2.0  # longest panel between and beyond the offsets
@@ -359,14 +360,14 @@ _CHEB_NODES_MAX = 129
 
 @dataclass
 class _ChebModel:
-    """log(t**power E(-t)) as a Chebyshev series in x over [lo, hi], for t in [tlo, thi].
+    """log(t**power E(-t)) as a Chebyshev series in x over [lo, hi], for t from tlo up.
 
-    x is v = log t for the gap model (power 0) and y = 1/t for the
-    asymptotic one (power 1, or 2 when mu = rho).
+    x is v = log t for the gap model (power 0), which ends at 36**rho, and
+    y = 1/t for the asymptotic one (power 1, or 2 when mu = rho), which
+    takes every t >= 36**rho.
     """
 
     tlo: float  # the lower end in t; below the gap model the series keeps t <= tlo
-    thi: float  # the upper end in t; above the asymptotic model the inverse series keeps t > thi
     lo: float
     hi: float
     power: int
@@ -464,7 +465,7 @@ def _gap_fit(rho: float, mu: float, tlo: float, vlo: float, vhi: float) -> _Cheb
         vhi,
         17 if width < 0.4 else (25 if width < 1.0 else 33),
     )
-    return _ChebModel(tlo, _S_ASYM**rho, vlo, vhi, 0, coef, cert)
+    return _ChebModel(tlo, vlo, vhi, 0, coef, cert)
 
 
 def _cheb_build(rho: float, mu: float) -> _ChebModel:
@@ -499,7 +500,7 @@ def _asym_build(rho: float, mu: float) -> _ChebModel:
     coef, cert = _cheb_fit(
         lambda y, n: _hankel_log(rho, mu, -np.log(y), rules[n], power), 0.0, ymax, 17
     )
-    return _ChebModel(tlo, _T_FAR, 0.0, ymax, power, coef, cert)
+    return _ChebModel(tlo, 0.0, ymax, power, coef, cert)
 
 
 def _cheb_get(rho: float, mu: float, build=_cheb_build) -> _ChebModel:
@@ -545,14 +546,6 @@ def _cheb_many(model: _ChebModel, x: np.ndarray, out_v=None, out_e=None):
     return out_v, out_e
 
 
-def _asym_model(model: _ChebModel, t: np.ndarray, out_v, out_e) -> None:
-    """The y = 1/t model at every point t, written into out_v, out_e."""
-    y = 1.0 / t
-    scale = y**model.power
-    _cheb_many(model, y, out_v, out_e)
-    out_v *= scale
-
-
 def _gathered(run, x: np.ndarray, idx: np.ndarray, vals, ests) -> None:
     """run(x[idx], v, e) into new arrays, scattered into vals and ests at idx."""
     v, e = np.empty(idx.size), np.empty(idx.size)
@@ -560,24 +553,23 @@ def _gathered(run, x: np.ndarray, idx: np.ndarray, vals, ests) -> None:
     vals[idx], ests[idx] = v, e
 
 
-def _asym_many(rho: float, mu: float, t: np.ndarray):
-    """E_{rho,mu}(-t) for t >= 36**rho, the ``asymptotic`` zone: (values, estimates).
+def _asym_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e=None):
+    """E_{rho,mu}(-t) for t >= 36**rho, the ``asymptotic`` zone.
 
-    Pairs with 0 < rho < 1 and mu in {1, rho} take the y = 1/t model up to
-    the upper end it states; the inverse-power series takes the points
-    beyond it and every point of the other pairs.  t is not empty.
+    Pairs with 0 < rho < 1 and mu in {1, rho} take the y = 1/t model; the
+    other pairs take the inverse-power series.  Writes (values, estimates)
+    into out_v, out_e (new arrays when None) and returns them.
     """
     if not (0.0 < rho < 1.0 and mu in (1.0, rho)):
-        return _inverse_series_many(rho, mu, t)
+        return _inverse_series_many(rho, mu, t, out_v, out_e)
     model = _cheb_get(rho, mu, _asym_build)
-    vals, ests = np.empty(t.size), np.empty(t.size)
-    if t.max() <= model.thi:
-        _asym_model(model, t, vals, ests)
-        return vals, ests
-    near = t <= model.thi
-    _gathered(partial(_asym_model, model), t, np.flatnonzero(near), vals, ests)
-    _gathered(partial(_inverse_series_many, rho, mu), t, np.flatnonzero(~near), vals, ests)
-    return vals, ests
+    # past t ~ 1e154 y**2 underflows, as E_{rho,rho} itself does
+    with np.errstate(under="ignore"):
+        y = 1.0 / t
+        scale = y**model.power
+    out_v, out_e = _cheb_many(model, y, out_v, out_e)
+    out_v *= scale
+    return out_v, out_e
 
 
 # --- routing -----------------------------------------------------------------
@@ -651,12 +643,12 @@ def _eval_block(rho: float, mu: float, t: np.ndarray, vals, ests, codes) -> None
     for j in bad:
         vals[j], ests[j] = _mp_eval(rho, mu, float(t[j]))
         codes[j] = _EXT
-    still = np.flatnonzero(ests > TARGET_REL)
-    if still.size:
-        j = int(still[0])
-        raise AccuracyError(
-            f"no branch certifies {TARGET_REL:g} at rho={rho}, mu={mu}, t={t[j]}"
-        )
+    # only an escalated point can still miss the target
+    for j in bad:
+        if ests[j] > TARGET_REL:
+            raise AccuracyError(
+                f"no branch certifies {TARGET_REL:g} at rho={rho}, mu={mu}, t={t[j]}"
+            )
 
 
 def _zones(rho: float, mu: float, x: np.ndarray):
@@ -687,15 +679,9 @@ def _zones(rho: float, mu: float, x: np.ndarray):
     ser = x <= t_lo
     n_ser = int(np.count_nonzero(ser))
     n_gap = n - n_ser - n_asy
-
-    def asym(x, v, e):
-        # _asym_many keeps its (values, estimates) return: the valve's tests
-        # substitute it
-        v[...], e[...] = _asym_many(rho, mu, x)
-
     return (
         (_SER, ser, n_ser, partial(_series_many, rho, mu)),
-        (_ASY, asy, n_asy, asym),
+        (_ASY, asy, n_asy, partial(_asym_many, rho, mu)),
         (_EXT, ~(ser | asy) if 0 < n_gap < n else None, n_gap, gap),
     )
 
@@ -746,7 +732,8 @@ def mlf_kernel_array(rho: float, lam: float, xi) -> np.ndarray:
     """Vectorized mlf_kernel over an array of positive xi."""
     _check_kernel_params(rho, lam)
     xi = np.asarray(xi, dtype=float)
-    if xi.size and (np.any(xi <= 0.0) or not np.all(np.isfinite(xi))):
+    # min is NaN when any point is, and NaN > 0 is false
+    if xi.size and not (xi.min() > 0.0 and xi.max() < math.inf):
         raise DomainError("kernel requires xi > 0")
     v, _, _ = _eval_many(rho, rho, lam * xi**rho)
     return xi ** (rho - 1.0) * v.reshape(xi.shape)
@@ -798,7 +785,7 @@ def kernel_cumulative(rho: float, lam, x) -> np.ndarray:
     _check_kernel_params(rho, lam)
     lam = np.asarray(lam, dtype=float)
     x = np.asarray(x, dtype=float)
-    if x.size and (np.any(x < 0.0) or not np.all(np.isfinite(x))):
+    if x.size and not (x.min() >= 0.0 and x.max() < math.inf):
         raise DomainError("x must be finite and nonnegative")
     lam, x = np.broadcast_arrays(lam, x)
     xr = x**rho
@@ -834,9 +821,8 @@ def mlf_kernel_primitive(rho: float, lam: float, a: float, b: float) -> float:
         else:
             lnq = rho * (math.log(a) - math.log(b))
         return float(br * _kernel_series(rho, np.array([lam * br]), lnq)[0])
-    va, _, _ = _eval_many(rho, 1.0, np.array([lam * a**rho]))
-    vb, _, _ = _eval_many(rho, 1.0, np.array([lam * br]))
-    return float((va[0] - vb[0]) / lam)
+    v, _, _ = _eval_many(rho, 1.0, np.array([lam * a**rho, lam * br]))
+    return float((v[0] - v[1]) / lam)
 
 
 def mlf_asymptotic_leading(rho: float, s: float) -> float:

@@ -242,9 +242,10 @@ def test_blocked_evaluation_raises_same_accuracy_error(monkeypatch):
     # the first such point must name itself, blocked or not
     real = mlf._asym_many
 
-    def uncertified_far(rho, mu, t):
-        v, e = real(rho, mu, t)
-        return v, np.where(t > 1e6, 1.0, e)
+    def uncertified_far(rho, mu, t, out_v=None, out_e=None):
+        v, e = real(rho, mu, t, out_v, out_e)
+        e[t > 1e6] = 1.0
+        return v, e
 
     monkeypatch.setattr(mlf, "_asym_many", uncertified_far)
     ts = blocking_probe_points()
@@ -266,7 +267,7 @@ SINGLE_ZONES = [
     (0.5, 1.0, 1e-6, 0.5, mlf._SER),
     (0.5, 1.0, 0.51, 5.9, mlf._EXT),  # the gap model
     (0.5, 1.0, 6.0, 1e100, mlf._ASY),  # the y = 1/t model
-    (0.5, 1.0, 6.0, 1e150, mlf._ASY),  # and the inverse-power series past 1e100
+    (0.5, 1.0, 6.0, 1e300, mlf._ASY),  # and the same model up to 1e300
     (1.0, 1.0, 1e-3, 700.0, mlf._CLO),
     (0.5, 1.3, 2.3, 5.9, mlf._EXT),  # no model: every point goes to the valve
 ]
@@ -288,12 +289,12 @@ def test_single_zone_block_matches_mixed_array_and_lone_calls(
     mixed = np.concatenate([ts, blocking_probe_points()])
     order = rng.permutation(mixed.size)
     got = [a[np.argsort(order)][:n] for a in mlf.mlf_neg_array(params, mixed[order])]
-    if hi <= 1e100:
-        # the in-place block gathers and scatters no index
-        def forbidden(*args):
-            raise AssertionError("a single-zone block was gathered")
 
-        monkeypatch.setattr(mlf, "_gathered", forbidden)
+    # the in-place block gathers and scatters no index
+    def forbidden(*args):
+        raise AssertionError("a single-zone block was gathered")
+
+    monkeypatch.setattr(mlf, "_gathered", forbidden)
     alone = mlf.mlf_neg_array(params, ts)
     assert set(alone[2][zeros:].tolist()) == {code}
     for a, b in zip(alone, got):
@@ -325,9 +326,10 @@ def test_single_zone_block_escalates_uncertified_points(monkeypatch):
     # whose estimate _asym_many leaves uncertified still go to the valve
     real = mlf._asym_many
 
-    def uncertified_near(rho, mu, t):
-        v, e = real(rho, mu, t)
-        return v, np.where(t < 50.0, 1.0, e)
+    def uncertified_near(rho, mu, t, out_v=None, out_e=None):
+        v, e = real(rho, mu, t, out_v, out_e)
+        e[t < 50.0] = 1.0
+        return v, e
 
     monkeypatch.setattr(mlf, "_asym_many", uncertified_near)
     ts = np.array([7.0, 60.0, 9.0, 1e4])
@@ -396,30 +398,37 @@ def test_model_near_rho_one_keeps_series_zone():
 @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999])
 @pytest.mark.parametrize("mu_kind", ["one", "rho"])
 def test_asymptotic_model_error_within_estimate(rho, mu_kind):
-    # the y = 1/t model: t log-uniform from 36**rho to 1e100 and, more
-    # densely, over its first four decades, plus 36**rho itself and one ulp
-    # either side of the upper end the model states (the inverse-power
-    # series takes the point above it)
+    # the y = 1/t model answers the whole zone: t log-uniform from 36**rho
+    # to 1e100 and, more densely, over its first four decades, plus 36**rho
+    # itself and one ulp either side of 1e100; past 1e100, t log-uniform up
+    # to 1e300, or to 1e150 for mu = rho, where E ~ t**-2 is still a normal
+    # double
     mu = 1.0 if mu_kind == "one" else rho
     model = mlf._cheb_get(rho, mu, mlf._asym_build)
-    assert model.cert <= 1e-12 and model.thi >= 1e100
-    lo, top = 36.0**rho, model.thi
+    assert model.cert <= 1e-12
+    lo, far = 36.0**rho, 1e300 if mu == 1.0 else 1e150
     rng = np.random.default_rng(40 + int(100 * rho))
     ts = np.concatenate(
         [
-            [lo, np.nextafter(top, 0.0), top, np.nextafter(top, np.inf)],
+            [lo, np.nextafter(1e100, 0.0), 1e100, np.nextafter(1e100, np.inf), far],
             np.exp(rng.uniform(math.log(lo), math.log(1e100), 10)),
             lo * 10.0 ** rng.uniform(0.0, 4.0, 6),
+            np.exp(rng.uniform(math.log(1e100), math.log(far), 6)),
         ]
     )
-    vals, ests, codes = mlf.mlf_neg_array(mlf.MlfParams(rho, mu), ts)
+    params = mlf.MlfParams(rho, mu)
+    vals, ests, codes = mlf.mlf_neg_array(params, ts)
     assert np.all(codes == mlf._ASY)
     for t, val, est in zip(ts, vals, ests):
         ref = mlf_reference(rho, mu, float(t))
         err = abs(val - ref) / abs(ref)
         assert err <= est <= mlf.TARGET_REL, (rho, mu, t, err, est)
-        if t <= top:
-            assert est == model.cert, (rho, mu, t)
+        assert est == model.cert, (rho, mu, t)
+    if mu == rho:
+        # past underflow the value is 0.0, still from the model, and the
+        # valve is not reached
+        vals, _, codes = mlf.mlf_neg_array(params, [1e200, 1.7e308])
+        assert vals.tolist() == [0.0, 0.0] and np.all(codes == mlf._ASY)
 
 
 def test_asymptotic_zone_near_rho_one_needs_no_extended_precision(monkeypatch):
