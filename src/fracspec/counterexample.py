@@ -55,7 +55,10 @@ def hl_coefficients(k_max: int) -> HLDatum:
         raise DomainError(f"k_max must be >= 2, got {k_max}")
     n = np.arange(1, k_max + 1, dtype=float)
     phases = n * np.log(n)  # n ln n; exactly 0 at n = 1
-    coeffs = np.exp(1j * phases) / (2.0 * n)
+    coeffs = np.empty(k_max, dtype=complex)
+    np.cos(phases, out=coeffs.real)
+    np.sin(phases, out=coeffs.imag)
+    coeffs /= 2.0 * n
     coeffs.setflags(write=False)
     return HLDatum(k_max=k_max, coeffs_pos=coeffs)
 
@@ -109,9 +112,11 @@ def divergence_sum(datum: HLDatum, rho: float, t: float, k0: int, checkpoints) -
         raise DomainError(f"checkpoints must lie in ({k0}, {datum.k_max}]")
 
     ns = np.arange(k0, cps[-1] + 1, dtype=float)
-    evals, _ests, _codes = mlf_neg_array(MlfParams(rho, 1.0), ns**2 * t**rho)
-    summands = ns * evals
-    running = np.cumsum(summands)
+    arg = ns**2
+    arg *= t**rho
+    evals, _ests, _codes = mlf_neg_array(MlfParams(rho, 1.0), arg)
+    evals *= ns
+    running = np.cumsum(evals)
     u_vals = [float(running[k - k0]) for k in cps]
 
     slope, _intercept = np.polyfit(np.log(cps), u_vals, 1)

@@ -15,16 +15,16 @@ bounds, each stated in t (s >= 36 if and only if t >= 36**rho):
   epsilon, so the claim is honest rather than modeled; the cut keeps it
   below the target with margin.
 * t >= 36**rho, the ``asymptotic`` zone (the label names the zone, not the
-  method).  For 0 < rho < 1 and mu in {1, rho}: a per-(rho, mu) Chebyshev
-  model of log(t^p E_{rho,mu}(-t)) in y = 1/t over [0, 36**-rho], with
-  p = 1, or p = 2 when mu = rho (there the 1/t term vanishes and t^2 E
-  tends to -1/Gamma(-rho)).  Its node values come from the Hankel integral
-  below, and it is certified as the gap model is: 13 off-node probes
-  against the 24-node rule, nodes doubled from 17 until the probe error is
-  at most 2.5e-13, cert = 4 * (probe error + rule gap), at least 1e-12.
-  E is smooth at y = 0, so the series holds past its last node, and the
-  model covers the whole zone for its pairs; it is pinned against mpmath
-  up to t = 1e300 (1e150 for mu = rho, whose E ~ t^-2 leaves the normal
+  method).  For 0 < rho < 1 and mu in {1, rho}: a per-(rho, mu) polynomial
+  in u = 36**rho/t of log(t^p E_{rho,mu}(-t)), p = 1, or p = 2 when mu = rho
+  (there the 1/t term vanishes and t^2 E tends to -1/Gamma(-rho)), summed
+  by Horner's rule.  It is fitted in y = 1/t from the Hankel integral below
+  and certified as the gap model is (13 off-node probes against the 24-node
+  rule, nodes doubled from 17 until the probe error is at most 2.5e-13,
+  cert = 4 * (probe error + rule gap), at least 1e-12), then converted once
+  to u, at a cost of a few ulp (its coefficients' absolute sum is below 10).
+  E is smooth at y = 0, so it covers the whole zone; it is pinned against
+  mpmath up to t = 1e300 (1e150 for mu = rho, whose E ~ t^-2 leaves the normal
   doubles near 1e152-1e154 and reads 0.0 from ~1e160 on).  Only pairs
   without a model take the inverse-power series
   Sum_{k>=1} (-1)^{k+1} t^{-k}/Gamma(mu-rho k), stopped by a smooth term
@@ -78,11 +78,11 @@ branch is elementwise, so blocking changes no bit of the values, estimates
 or branch codes.  A block whose nonzero points one zone holds is evaluated
 in place: the zone's branch runs on the block itself and writes into its
 slice of the output, with no index gather or scatter and the same bits as
-a mixed block; the Chebyshev series are summed on preallocated buffers in
-numpy chebval's operation order.  All functions are pure; a model is built
-on the first block with a point in its zone, and the Chebyshev cache, one
-entry per (zone, rho, mu), is append-only and idempotent, so concurrent
-builds are safe (worst case, duplicated work).
+a mixed block; the gap model is summed on preallocated buffers in numpy
+chebval's operation order, the asymptotic one in place in polyval's.  All
+functions are pure; a model is built on the first block with a point in its
+zone, and the model cache, one entry per (zone, rho, mu), is append-only and
+idempotent, so concurrent builds are safe (worst case, duplicated work).
 """
 
 from __future__ import annotations
@@ -360,11 +360,11 @@ _CHEB_NODES_MAX = 129
 
 @dataclass
 class _ChebModel:
-    """log(t**power E(-t)) as a Chebyshev series in x over [lo, hi], for t from tlo up.
+    """log(t**power E(-t)) as a series in x over [lo, hi], for t from tlo up.
 
-    x is v = log t for the gap model (power 0), which ends at 36**rho, and
-    y = 1/t for the asymptotic one (power 1, or 2 when mu = rho), which
-    takes every t >= 36**rho.
+    The gap model (power 0), which ends at 36**rho, is a Chebyshev series in
+    x = log t; the asymptotic one (power 1, or 2 when mu = rho), which takes
+    every t >= 36**rho, a polynomial in x = tlo/t over [0, 1].
     """
 
     tlo: float  # the lower end in t; below the gap model the series keeps t <= tlo
@@ -486,7 +486,7 @@ def _cheb_build(rho: float, mu: float) -> _ChebModel:
 
 
 def _asym_build(rho: float, mu: float) -> _ChebModel:
-    """The asymptotic model of log(t**power E(-t)) in y = 1/t on [0, 36**-rho].
+    """The asymptotic model of log(t**power E(-t)): a polynomial in u = 36**rho/t on [0, 1].
 
     t E tends to 1/Gamma(mu - rho) as t grows; for mu = rho that vanishes
     and t**2 E tends to -1/Gamma(-rho), so power is 2 there.
@@ -500,7 +500,8 @@ def _asym_build(rho: float, mu: float) -> _ChebModel:
     coef, cert = _cheb_fit(
         lambda y, n: _hankel_log(rho, mu, -np.log(y), rules[n], power), 0.0, ymax, 17
     )
-    return _ChebModel(tlo, 0.0, ymax, power, coef, cert)
+    poly = np.polynomial.Chebyshev(coef, domain=[0.0, 1.0]).convert(kind=np.polynomial.Polynomial)
+    return _ChebModel(tlo, 0.0, 1.0, power, poly.coef, cert)
 
 
 def _cheb_get(rho: float, mu: float, build=_cheb_build) -> _ChebModel:
@@ -520,7 +521,7 @@ def _cheb_many(model: _ChebModel, x: np.ndarray, out_v=None, out_e=None):
     Writes (values, certificates) into out_v, out_e (new arrays when None)
     and returns them; x is overwritten with the normalized variable.  The
     series is summed by Clenshaw's recurrence in numpy chebval's operation
-    order, so every bit is chebval's, on three buffers and out_v.
+    order, so every bit is chebval's, on out_v, out_e and two new buffers.
     """
     out_v, out_e = _outputs(x.size, out_v, out_e)
     w = x
@@ -531,14 +532,16 @@ def _cheb_many(model: _ChebModel, x: np.ndarray, out_v=None, out_e=None):
     np.clip(w, -1.0, 1.0, out=w)
     c = model.coef
     x2 = 2.0 * w
-    c0, c1, spare = np.full_like(w, c[-2]), np.full_like(w, c[-1]), out_v
-    for i in range(3, len(c) + 1):
+    c1 = np.multiply(x2, c[-1], out=out_v)  # chebval's first step, on scalars
+    c1 += c[-2]
+    c0, spare = c[-3] - c[-1], np.empty_like(w)
+    for i in range(4, len(c) + 1):
         # chebval's step: c0, c1 = c[-i] - c1, c0 + c1*x2
         np.multiply(c1, x2, out=spare)
         spare += c0
-        np.subtract(c[-i], c1, out=c0)
+        c0 = np.subtract(c[-i], c1, out=out_e)
         c1, spare = spare, c1
-    # chebval's result c0 + c1*w; out_v is c1 or spare here, never c0
+    # chebval's result c0 + c1*w; out_v is c1 or spare here, c0 is out_e
     np.multiply(c1, w, out=out_v)
     out_v += c0
     np.exp(out_v, out=out_v)
@@ -556,19 +559,26 @@ def _gathered(run, x: np.ndarray, idx: np.ndarray, vals, ests) -> None:
 def _asym_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e=None):
     """E_{rho,mu}(-t) for t >= 36**rho, the ``asymptotic`` zone.
 
-    Pairs with 0 < rho < 1 and mu in {1, rho} take the y = 1/t model; the
-    other pairs take the inverse-power series.  Writes (values, estimates)
-    into out_v, out_e (new arrays when None) and returns them.
+    Pairs with 0 < rho < 1 and mu in {1, rho} take the model in u = 36**rho/t,
+    by Horner's rule on out_v; the other pairs take the inverse-power series.
+    Writes (values, estimates) into out_v, out_e (new arrays when None).
     """
     if not (0.0 < rho < 1.0 and mu in (1.0, rho)):
         return _inverse_series_many(rho, mu, t, out_v, out_e)
     model = _cheb_get(rho, mu, _asym_build)
-    # past t ~ 1e154 y**2 underflows, as E_{rho,rho} itself does
+    out_v, out_e = _outputs(t.size, out_v, out_e)
+    # t >= tlo puts u in (0, 1], held in out_e; u and E_{rho,rho} underflow far out
     with np.errstate(under="ignore"):
-        y = 1.0 / t
-        scale = y**model.power
-    out_v, out_e = _cheb_many(model, y, out_v, out_e)
-    out_v *= scale
+        u = np.divide(model.tlo, t, out=out_e)
+        np.multiply(u, model.coef[-1], out=out_v)
+        out_v += model.coef[-2]
+        for a in model.coef[-3::-1]:
+            out_v *= u
+            out_v += a
+        np.exp(out_v, out=out_v)
+        for _ in range(model.power):
+            out_v /= t
+    out_e.fill(model.cert)
     return out_v, out_e
 
 
@@ -580,9 +590,9 @@ def _eval_many(rho: float, mu: float, t: np.ndarray):
 
     The flat input is routed and evaluated in blocks of at most
     ``_BLOCK_POINTS`` points.  Every branch makes many passes over its
-    points (about 20 per inverse-power term, 3 per Chebyshev
-    coefficient), so a million-point call run whole streams ~8 MB arrays
-    from memory on every pass; a block keeps those passes and the routing
+    points (about 20 per inverse-power term, 3 or 2 per model coefficient),
+    so a million-point call run whole streams ~8 MB arrays from memory on
+    every pass; a block keeps those passes and the routing
     in L2 cache and bounds the temporaries by the block.  Every branch is
     elementwise, each point stopping on its own, so the result does not
     depend on the blocking.
@@ -619,9 +629,9 @@ def _eval_block(rho: float, mu: float, t: np.ndarray, vals, ests, codes) -> None
     already, and get their own value, 1/Gamma(mu), after the branches.
     """
     n = t.size
-    zero = np.flatnonzero(t == 0.0)
+    zero = np.flatnonzero(t == 0.0) if t.min() == 0.0 else []
     x = t
-    if zero.size:
+    if len(zero):
         x = t.copy()
         x[zero] = t.max()
     if x[0] > 0.0:  # a block of zeros alone needs no branch
@@ -639,7 +649,7 @@ def _eval_block(rho: float, mu: float, t: np.ndarray, vals, ests, codes) -> None
     codes[zero] = _SER
 
     # correctness valve: anything not certified re-runs at extended precision
-    bad = np.flatnonzero(ests > TARGET_REL)
+    bad = np.flatnonzero(ests > TARGET_REL) if ests.max() > TARGET_REL else ()
     for j in bad:
         vals[j], ests[j] = _mp_eval(rho, mu, float(t[j]))
         codes[j] = _EXT
@@ -667,6 +677,8 @@ def _zones(rho: float, mu: float, x: np.ndarray):
         return ((_CLO, None, n, closed_form),)
     asy = x >= _S_ASYM**rho
     n_asy = int(np.count_nonzero(asy))
+    if n_asy == n:
+        return ((_ASY, None, n, partial(_asym_many, rho, mu)),)
     t_lo = _series_cut(mu) ** rho
     gap = _uncertified
     if 0.0 < rho < 1.0 and rho <= mu <= 1.0:  # the pairs with a model

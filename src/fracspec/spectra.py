@@ -453,13 +453,29 @@ def radial_weight_sq(c: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(shells), np.bincount(member, weights=np.abs(c._values[keep]) ** 2)
 
 
+def _octave_sums(r: np.ndarray, weight_sq, exponents, n_shells: int):
+    """Per a, Sum (1+r^2)^a w_r over each run 2^j <= r < 2^(j+1), j < n_shells, of ascending r."""
+    starts = np.searchsorted(r, 2.0 ** np.arange(n_shells + 1))
+    # reduceat would read an empty run as its first element: sum the others only
+    full = np.flatnonzero(np.diff(starts))
+    log_weight = np.log1p(np.square(r[: starts[-1]]))
+    w = np.asarray(weight_sq, dtype=float)[: starts[-1]]
+    terms = np.empty_like(log_weight)
+    for a in exponents:
+        np.exp(np.multiply(log_weight, float(a), out=terms), out=terms)
+        terms *= w
+        sums = np.zeros(n_shells)
+        sums[full] = np.add.reduceat(terms, starts[full])
+        yield sums
+
+
 def tail_verdicts(radii, weight_sq, exponents, complete_radius) -> list:
     """Classify Sum (1+r^2)^a w_r for each a: "finite", "divergent" or "inconclusive".
 
-    radii are |n| >= 1, weight_sq the |c_n|^2 summed over the modes of each
-    radius, and the data are complete for r < complete_radius.  The weighted
-    terms are folded into octave shells 2^j <= r < 2^(j+1) lying wholly inside
-    that radius, and log2 of the last three shell sums is fitted against j.
+    radii are |n| >= 1 ascending (else DomainError), weight_sq the |c_n|^2
+    summed over the modes of each radius, and the data are complete for
+    r < complete_radius.  The weighted terms are folded into octave shells
+    2^j <= r < 2^(j+1) inside that radius; log2 of the last three is fitted.
     For |c_n| ~ |n|^-b in N dimensions the slope is 2 (a - a*), a* = b - N/2:
     at or below -2 TAIL_BAND it is finite, at or above +2 TAIL_BAND divergent.
     A last shell holding at most 1e-12 of the total is finite; fewer than three
@@ -467,16 +483,13 @@ def tail_verdicts(radii, weight_sq, exponents, complete_radius) -> list:
     bounds is inconclusive.
     """
     r = np.asarray(radii, dtype=float)
+    if r.size and not (r[0] >= 1.0 and np.all(r[1:] >= r[:-1])):
+        raise DomainError("radii must be ascending and at least 1")
     n_shells = int(np.frexp(float(complete_radius))[1]) - 1  # floor(log2 R)
     if n_shells < 3:
         return ["inconclusive"] * len(exponents)
-    keep = r < 2.0**n_shells
-    shell = np.frexp(r[keep])[1] - 1
-    log_weight = np.log1p(r[keep] ** 2)
-    w = np.asarray(weight_sq, dtype=float)[keep]
     verdicts = []
-    for a in exponents:
-        sums = np.bincount(shell, weights=np.exp(float(a) * log_weight) * w, minlength=n_shells)
+    for sums in _octave_sums(r, weight_sq, exponents, n_shells):
         fit = sums[-3:]
         # an empty shell in the fit leaves the slope at 0: inconclusive
         slope = np.polyfit(np.arange(3), np.log2(fit), 1)[0] if np.all(fit > 0.0) else 0.0

@@ -309,9 +309,27 @@ def test_single_zone_block_matches_mixed_array_and_lone_calls(
 @pytest.mark.parametrize("rho, mu", [(0.5, 1.0), (0.7, 1.0), (0.3, 0.3)])
 @pytest.mark.parametrize("build", [mlf._cheb_build, mlf._asym_build])
 def test_cheb_many_equals_chebval_bit_for_bit(rho, mu, build):
-    # the in-place Clenshaw sum keeps numpy chebval's operation order; x
-    # also runs past both ends, where w is clipped
+    # the gap model's in-place Clenshaw sum keeps numpy chebval's operation
+    # order, with x also past both ends, where w is clipped; the asymptotic
+    # model's in-place Horner sum keeps numpy polyval's, in u = tlo/t
     model = mlf._cheb_get(rho, mu, build)
+    if build is mlf._asym_build:
+        rng = np.random.default_rng(5)
+        t = model.tlo * np.concatenate(
+            [
+                [1.0, 1e150, 1e300],
+                10.0 ** rng.uniform(0.0, 8.0, 10**4),
+                10.0 ** rng.uniform(8.0, 300.0, 100),
+            ]
+        )
+        want = np.exp(np.polynomial.polynomial.polyval(model.tlo / t, model.coef))
+        with np.errstate(under="ignore"):
+            for _ in range(model.power):
+                want = want / t
+        vals, ests = mlf._asym_many(rho, mu, t)
+        assert vals.tobytes() == want.tobytes()
+        assert np.all(ests == model.cert)
+        return
     w = np.concatenate([[-1.0, 1.0, -1.5, 1.5], np.random.default_rng(5).uniform(-1, 1, 10**4)])
     x = 0.5 * (model.lo + model.hi) + 0.5 * (model.hi - model.lo) * w
     want_w = np.clip((2.0 * x - model.lo - model.hi) / (model.hi - model.lo), -1.0, 1.0)
@@ -424,11 +442,26 @@ def test_asymptotic_model_error_within_estimate(rho, mu_kind):
         err = abs(val - ref) / abs(ref)
         assert err <= est <= mlf.TARGET_REL, (rho, mu, t, err, est)
         assert est == model.cert, (rho, mu, t)
+        # the model is far better than its certificate claims
+        assert err <= 2.5e-14, (rho, mu, t, err)
     if mu == rho:
         # past underflow the value is 0.0, still from the model, and the
         # valve is not reached
         vals, _, codes = mlf.mlf_neg_array(params, [1e200, 1.7e308])
         assert vals.tolist() == [0.0, 0.0] and np.all(codes == mlf._ASY)
+
+
+@pytest.mark.parametrize(
+    "rho", [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.9999]
+)
+@pytest.mark.parametrize("mu_kind", ["one", "rho"])
+def test_asymptotic_model_monomials_stay_small(rho, mu_kind):
+    # Horner's rule in u in [0, 1] loses about eps * Sum|coef| to the
+    # conversion from the Chebyshev fit; a small sum keeps that to a few ulp
+    mu = 1.0 if mu_kind == "one" else rho
+    model = mlf._cheb_get(rho, mu, mlf._asym_build)
+    assert model.cert <= 1e-12
+    assert np.sum(np.abs(model.coef)) <= 16.0, (rho, mu, model.coef)
 
 
 def test_asymptotic_zone_near_rho_one_needs_no_extended_precision(monkeypatch):

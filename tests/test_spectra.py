@@ -424,6 +424,33 @@ def test_tail_verdicts_edge_cases():
     assert tail_verdicts(radii, np.exp2(-4.0 * radii), [5.0], 64) == ["finite"]
 
 
+def test_tail_verdicts_need_ascending_radii_and_sum_shells_in_runs():
+    radii = np.arange(1.0, 64.0)
+    with pytest.raises(DomainError):
+        tail_verdicts(radii[::-1], radii**-2, [0.5], 64)
+    with pytest.raises(DomainError):
+        tail_verdicts(np.array([1.0, 3.0, 2.0]), np.ones(3), [0.5], 4)
+    with pytest.raises(DomainError):
+        tail_verdicts(np.array([0.5, 1.0]), np.ones(2), [0.5], 64)
+    # shell sums against a weighted bincount over the octave index, with the
+    # shells [8, 16) and [128, 256) empty, and radii past the complete one
+    rng = np.random.default_rng(9)
+    r = np.sort(rng.uniform(1.0, 300.0, 4000))
+    r = r[((r < 8) | (r >= 16)) & ((r < 128) | (r >= 256))]
+    w = rng.uniform(0.0, 1.0, r.size) * r**-2.5
+    n_shells = 8
+    keep = r < 2.0**n_shells
+    shell = np.frexp(r[keep])[1] - 1
+    exponents = [-1.0, 0.0, 0.7, 3.0]
+    got = list(spectra._octave_sums(r, w, exponents, n_shells))
+    for a, sums in zip(exponents, got):
+        want = np.bincount(
+            shell, weights=np.exp(a * np.log1p(r[keep] ** 2)) * w[keep], minlength=n_shells
+        )
+        assert sums[3] == 0.0 and sums[7] == 0.0
+        np.testing.assert_allclose(sums, want, rtol=1e-13, atol=0.0)
+
+
 def test_fractional_power_basics():
     c = SpectralField({2: 1.0}, 5)
     out = apply_fractional_power(c, 1.0)
