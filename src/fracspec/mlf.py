@@ -22,7 +22,10 @@ bounds, each stated in t (s >= 36 if and only if t >= 36**rho):
   and certified as the gap model is (13 off-node probes against the 24-node
   rule, nodes doubled from 17 until the probe error is at most 2.5e-13,
   cert = 4 * (probe error + rule gap), at least 1e-12), then converted once
-  to u, at a cost of a few ulp (its coefficients' absolute sum is below 10).
+  to u, at a cost of a few ulp (its coefficients' absolute sum is below 10
+  up to rho = 0.9999).  Closer to rho = 1, where that sum passes 16 (it
+  reaches 5e10 and beyond), the model keeps the Chebyshev series in y and
+  is summed by Clenshaw's recurrence.
   E is smooth at y = 0, so it covers the whole zone; it is pinned against
   mpmath up to t = 1e300 (1e150 for mu = rho, whose E ~ t^-2 leaves the normal
   doubles near 1e152-1e154 and reads 0.0 from ~1e160 on).  Only pairs
@@ -356,6 +359,9 @@ _V_TOP = math.log(50.0)  # e^{-r} < 2e-22 past r = 50
 _TAIL = 1e-18  # the lower cut: e^{(rho-mu+1) v} below this
 _CHEB_STOP = 2.5e-13  # probe error at which a build stops doubling its nodes
 _CHEB_NODES_MAX = 129
+# Horner's rule in u in [0, 1] loses about eps * sum|monomial coef|; past
+# this sum the asymptotic model stays a Chebyshev series
+_HORNER_MAX = 16.0
 
 
 @dataclass
@@ -364,7 +370,8 @@ class _ChebModel:
 
     The gap model (power 0), which ends at 36**rho, is a Chebyshev series in
     x = log t; the asymptotic one (power 1, or 2 when mu = rho), which takes
-    every t >= 36**rho, a polynomial in x = tlo/t over [0, 1].
+    every t >= 36**rho, a polynomial in x = tlo/t over [0, 1] when horner is
+    set, else a Chebyshev series in x = 1/t over [0, 36**-rho].
     """
 
     tlo: float  # the lower end in t; below the gap model the series keeps t <= tlo
@@ -373,6 +380,7 @@ class _ChebModel:
     power: int
     coef: np.ndarray
     cert: float
+    horner: bool = False  # coef are monomial coefficients, summed by Horner's rule
 
 
 # one model per (build, rho, mu): build is _cheb_build or _asym_build
@@ -489,7 +497,11 @@ def _asym_build(rho: float, mu: float) -> _ChebModel:
     """The asymptotic model of log(t**power E(-t)): a polynomial in u = 36**rho/t on [0, 1].
 
     t E tends to 1/Gamma(mu - rho) as t grows; for mu = rho that vanishes
-    and t**2 E tends to -1/Gamma(-rho), so power is 2 there.
+    and t**2 E tends to -1/Gamma(-rho), so power is 2 there.  The fit is a
+    Chebyshev series in y = 1/t, converted to monomials in u when the sum of
+    their magnitudes is at most _HORNER_MAX.  From rho ~ 0.999999 (mu = rho)
+    or 0.9999999 (mu = 1) on, the fit needs 33 or more terms whose monomials
+    sum to 5e10 and beyond, and the model keeps the Chebyshev series.
     """
     power = 2 if mu == rho else 1
     tlo = _S_ASYM**rho
@@ -501,7 +513,9 @@ def _asym_build(rho: float, mu: float) -> _ChebModel:
         lambda y, n: _hankel_log(rho, mu, -np.log(y), rules[n], power), 0.0, ymax, 17
     )
     poly = np.polynomial.Chebyshev(coef, domain=[0.0, 1.0]).convert(kind=np.polynomial.Polynomial)
-    return _ChebModel(tlo, 0.0, 1.0, power, poly.coef, cert)
+    if np.sum(np.abs(poly.coef)) > _HORNER_MAX:
+        return _ChebModel(tlo, 0.0, ymax, power, coef, cert)
+    return _ChebModel(tlo, 0.0, 1.0, power, poly.coef, cert, horner=True)
 
 
 def _cheb_get(rho: float, mu: float, build=_cheb_build) -> _ChebModel:
@@ -560,12 +574,21 @@ def _asym_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e=None):
     """E_{rho,mu}(-t) for t >= 36**rho, the ``asymptotic`` zone.
 
     Pairs with 0 < rho < 1 and mu in {1, rho} take the model in u = 36**rho/t,
-    by Horner's rule on out_v; the other pairs take the inverse-power series.
+    by Horner's rule on out_v, or, where the model keeps its Chebyshev series,
+    by Clenshaw's in y = 1/t; the other pairs take the inverse-power series.
     Writes (values, estimates) into out_v, out_e (new arrays when None).
     """
     if not (0.0 < rho < 1.0 and mu in (1.0, rho)):
         return _inverse_series_many(rho, mu, t, out_v, out_e)
     model = _cheb_get(rho, mu, _asym_build)
+    if not model.horner:
+        # past t ~ 1e154 y**2 underflows, as E_{rho,rho} itself does
+        with np.errstate(under="ignore"):
+            y = 1.0 / t
+            scale = y**model.power
+        out_v, out_e = _cheb_many(model, y, out_v, out_e)
+        out_v *= scale
+        return out_v, out_e
     out_v, out_e = _outputs(t.size, out_v, out_e)
     # t >= tlo puts u in (0, 1], held in out_e; u and E_{rho,rho} underflow far out
     with np.errstate(under="ignore"):

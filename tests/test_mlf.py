@@ -464,6 +464,26 @@ def test_asymptotic_model_monomials_stay_small(rho, mu_kind):
     assert np.sum(np.abs(model.coef)) <= 16.0, (rho, mu, model.coef)
 
 
+@pytest.mark.parametrize("rho", [0.9999999, 1.0 - 1e-9, 1.0 - 1e-12, 0.9999999999999999])
+@pytest.mark.parametrize("mu_kind", ["one", "rho"])
+def test_asymptotic_model_keeps_chebyshev_near_rho_one(rho, mu_kind):
+    # monomials of these fits sum to 5e10 and more, so Horner's rule would
+    # overflow exp; the model stays a Chebyshev series in y = 1/t, summed as
+    # numpy chebval sums it, and every value is positive
+    mu = 1.0 if mu_kind == "one" else rho
+    model = mlf._cheb_get(rho, mu, mlf._asym_build)
+    assert not model.horner and model.hi == 1.0 / model.tlo
+    t = model.tlo * 10.0 ** np.random.default_rng(6).uniform(0.0, 8.0, 10**3)
+    y = 1.0 / t
+    w = np.clip((2.0 * y - model.lo - model.hi) / (model.hi - model.lo), -1.0, 1.0)
+    want = np.exp(np.polynomial.chebyshev.chebval(w, model.coef))
+    want *= y**model.power
+    vals, ests = mlf._asym_many(rho, mu, t)
+    assert vals.tobytes() == want.tobytes()
+    assert np.all(ests == model.cert)
+    assert np.all(vals > 0.0)
+
+
 def test_asymptotic_zone_near_rho_one_needs_no_extended_precision(monkeypatch):
     # at s = 36..40 the inverse-power series certifies only ~1e-10 this close
     # to rho = mu = 1, and the valve used to escalate those points; the
