@@ -18,14 +18,15 @@ bounds, each stated in t (s >= 36 if and only if t >= 36**rho):
   method).  For 0 < rho < 1 and mu in {1, rho}: a per-(rho, mu) polynomial
   in u = 36**rho/t of log(t^p E_{rho,mu}(-t)), p = 1, or p = 2 when mu = rho
   (there the 1/t term vanishes and t^2 E tends to -1/Gamma(-rho)), summed
-  by Horner's rule.  It is fitted in y = 1/t from the Hankel integral below
-  and certified as the gap model is (13 off-node probes against the 24-node
-  rule, nodes doubled from 17 until the probe error is at most 2.5e-13,
-  cert = 4 * (probe error + rule gap), at least 1e-12), then converted once
-  to u, at a cost of a few ulp (its coefficients' absolute sum is below 10
-  up to rho = 0.9999).  Closer to rho = 1, where that sum passes 16 (it
-  reaches 5e10 and beyond), the model keeps the Chebyshev series in y and
-  is summed by Clenshaw's recurrence.
+  by Horner's rule (only c0 + c1 u at u <= u_lin, ~3e-8, where the rest adds
+  at most 2**-56 to the log).  It is fitted in y = 1/t from the Hankel
+  integral below and certified as the gap model is (13 off-node probes
+  against the 24-node rule, nodes doubled from 17 until the probe error is
+  at most 2.5e-13, cert = 4 * (probe error + rule gap), at least 1e-12), then
+  converted once to u, at a cost of a few ulp (its coefficients' absolute sum
+  is below 10 up to rho = 0.9999).  Closer to rho = 1, where that sum passes
+  16 (it reaches 5e10 and beyond), the model keeps the Chebyshev series in y
+  and is summed by Clenshaw's recurrence.
   E is smooth at y = 0, so it covers the whole zone; it is pinned against
   mpmath up to t = 1e300 (1e150 for mu = rho, whose E ~ t^-2 leaves the normal
   doubles near 1e152-1e154 and reads 0.0 from ~1e160 on).  Only pairs
@@ -362,6 +363,8 @@ _CHEB_NODES_MAX = 129
 # Horner's rule in u in [0, 1] loses about eps * sum|monomial coef|; past
 # this sum the asymptotic model stays a Chebyshev series
 _HORNER_MAX = 16.0
+# at u <= u_lin the terms of degree 2 and up add at most this to the log
+_LINEAR_TAIL = 2.0**-56
 
 
 @dataclass
@@ -371,7 +374,8 @@ class _ChebModel:
     The gap model (power 0), which ends at 36**rho, is a Chebyshev series in
     x = log t; the asymptotic one (power 1, or 2 when mu = rho), which takes
     every t >= 36**rho, a polynomial in x = tlo/t over [0, 1] when horner is
-    set, else a Chebyshev series in x = 1/t over [0, 36**-rho].
+    set, else a Chebyshev series in x = 1/t over [0, 36**-rho].  At x <= u_lin
+    a polynomial's terms past c1 x add at most _LINEAR_TAIL to the log.
     """
 
     tlo: float  # the lower end in t; below the gap model the series keeps t <= tlo
@@ -381,6 +385,7 @@ class _ChebModel:
     coef: np.ndarray
     cert: float
     horner: bool = False  # coef are monomial coefficients, summed by Horner's rule
+    u_lin: float = 0.0  # with horner: points this far take c0 + c1 x alone
 
 
 # one model per (build, rho, mu): build is _cheb_build or _asym_build
@@ -515,7 +520,9 @@ def _asym_build(rho: float, mu: float) -> _ChebModel:
     poly = np.polynomial.Chebyshev(coef, domain=[0.0, 1.0]).convert(kind=np.polynomial.Polynomial)
     if np.sum(np.abs(poly.coef)) > _HORNER_MAX:
         return _ChebModel(tlo, 0.0, ymax, power, coef, cert)
-    return _ChebModel(tlo, 0.0, 1.0, power, poly.coef, cert, horner=True)
+    # Sum_{k>=2} |c_k| u**k <= _LINEAR_TAIL for u <= u_lin, kept below it after rounding
+    u_lin = math.sqrt(_LINEAR_TAIL / np.sum(np.abs(poly.coef[2:]))) * (1.0 - 4.0 * _EPS)
+    return _ChebModel(tlo, 0.0, 1.0, power, poly.coef, cert, horner=True, u_lin=u_lin)
 
 
 def _cheb_get(rho: float, mu: float, build=_cheb_build) -> _ChebModel:
@@ -576,6 +583,7 @@ def _asym_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e=None):
     Pairs with 0 < rho < 1 and mu in {1, rho} take the model in u = 36**rho/t,
     by Horner's rule on out_v, or, where the model keeps its Chebyshev series,
     by Clenshaw's in y = 1/t; the other pairs take the inverse-power series.
+    A point with u <= u_lin takes c0 + c1 u, chosen per point, never per block.
     Writes (values, estimates) into out_v, out_e (new arrays when None).
     """
     if not (0.0 < rho < 1.0 and mu in (1.0, rho)):
@@ -593,11 +601,15 @@ def _asym_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e=None):
     # t >= tlo puts u in (0, 1], held in out_e; u and E_{rho,rho} underflow far out
     with np.errstate(under="ignore"):
         u = np.divide(model.tlo, t, out=out_e)
-        np.multiply(u, model.coef[-1], out=out_v)
-        out_v += model.coef[-2]
-        for a in model.coef[-3::-1]:
+        any_far = u.min() <= model.u_lin  # a block with none pays one reduction
+        c = model.coef[:2] if any_far and u.max() <= model.u_lin else model.coef
+        np.multiply(u, c[-1], out=out_v)
+        out_v += c[-2]
+        for a in c[-3::-1]:
             out_v *= u
             out_v += a
+        if any_far and c.size > 2:  # a mixed block's far points, as a far block sums them
+            np.copyto(out_v, u * c[1] + c[0], where=u <= model.u_lin)
         np.exp(out_v, out=out_v)
         for _ in range(model.power):
             out_v /= t

@@ -28,6 +28,7 @@ from fracspec.errors import (
     InconclusiveError,
     RegularityError,
 )
+from fracspec.mlf import MlfParams, mlf_neg_array
 from fracspec.spectra import SpectralField, analyze, synthesize
 
 DECADES_1E5 = [10, 100, 1000, 10**4, 10**5]
@@ -93,6 +94,20 @@ def test_partial_sum_doubling_gap_is_ln2():
     assert s_2k - s_k == pytest.approx(math.log(2.0), abs=1e-3)
 
 
+def test_partial_sums_in_callers_order_with_repeats():
+    # unsorted and repeated checkpoints each get their own sum, in the order
+    # given, within 1e-15 of the correctly rounded sum of the same summands
+    d = hl_coefficients(10**4)
+    cps = [5000, 1, 5000, 300, 10**4, 300, 2]
+    got = abs_coeff_partial_sums(d, cps)
+    summands = (2.0 * np.abs(d.coeffs_pos)).tolist()
+    for k, s in zip(cps, got):
+        want = math.fsum(summands[:k])
+        assert abs(s - want) <= 1e-15 * want, (k, s, want)
+    assert got[0] == got[2] and got[3] == got[5]
+    assert abs_coeff_partial_sums(d, []) == []
+
+
 def test_partial_sums_validation():
     d = hl_coefficients(100)
     with pytest.raises(DomainError):
@@ -148,6 +163,23 @@ def test_growth_slope_consistency_grid():
             fit = divergence_sum(d, rho, t, 8, cps)
             normalized = fit.fitted_slope * math.gamma(1.0 - rho) * t**rho
             assert 0.95 <= normalized <= 1.05
+
+
+@pytest.mark.parametrize("rho, t", [(0.3, 0.5), (0.5, 1.0), (0.9, 1.0)])
+def test_growth_partial_sums_match_fsum(rho, t):
+    # a million summands: each checkpoint sum, repeated ones too, is within
+    # 1e-15 of the correctly rounded sum (a running cumsum was 1e-13 off)
+    d = hl_coefficients(10**6)
+    cps = [300, 300, 10**4, 10**6]
+    fit = divergence_sum(d, rho, t, 10, cps)
+    assert fit.k_values == tuple(cps)
+    ns = np.arange(10, 10**6 + 1, dtype=float)
+    arg = ns**2
+    arg *= t**rho
+    summands = (mlf_neg_array(MlfParams(rho, 1.0), arg)[0] * ns).tolist()
+    for k, s in zip(cps, fit.partial_sums):
+        want = math.fsum(summands[: k - 9])
+        assert abs(s - want) <= 1e-15 * want, (k, s, want)
 
 
 def test_growth_validation():

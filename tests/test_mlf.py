@@ -311,7 +311,8 @@ def test_single_zone_block_matches_mixed_array_and_lone_calls(
 def test_cheb_many_equals_chebval_bit_for_bit(rho, mu, build):
     # the gap model's in-place Clenshaw sum keeps numpy chebval's operation
     # order, with x also past both ends, where w is clipped; the asymptotic
-    # model's in-place Horner sum keeps numpy polyval's, in u = tlo/t
+    # model's in-place Horner sum keeps numpy polyval's, in u = tlo/t, and
+    # at u <= u_lin polyval's over the linear part
     model = mlf._cheb_get(rho, mu, build)
     if build is mlf._asym_build:
         rng = np.random.default_rng(5)
@@ -322,7 +323,13 @@ def test_cheb_many_equals_chebval_bit_for_bit(rho, mu, build):
                 10.0 ** rng.uniform(8.0, 300.0, 100),
             ]
         )
-        want = np.exp(np.polynomial.polynomial.polyval(model.tlo / t, model.coef))
+        u = model.tlo / t
+        want = np.where(
+            u <= model.u_lin,
+            np.polynomial.polynomial.polyval(u, model.coef[:2]),
+            np.polynomial.polynomial.polyval(u, model.coef),
+        )
+        want = np.exp(want)
         with np.errstate(under="ignore"):
             for _ in range(model.power):
                 want = want / t
@@ -462,6 +469,66 @@ def test_asymptotic_model_monomials_stay_small(rho, mu_kind):
     model = mlf._cheb_get(rho, mu, mlf._asym_build)
     assert model.cert <= 1e-12
     assert np.sum(np.abs(model.coef)) <= 16.0, (rho, mu, model.coef)
+
+
+@pytest.mark.parametrize(
+    "rho", [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.9999]
+)
+@pytest.mark.parametrize("mu_kind", ["one", "rho"])
+def test_asymptotic_model_linear_part_far_out(rho, mu_kind):
+    # at u <= u_lin the terms of degree 2 and up add at most 2**-56 to the
+    # log, so far points take c0 + c1 u; in far-only, near-only and mixed
+    # blocks every value stays within 4e-15 of the full polynomial's
+    mu = 1.0 if mu_kind == "one" else rho
+    model = mlf._cheb_get(rho, mu, mlf._asym_build)
+    assert model.horner
+    assert np.sum(np.abs(model.coef[2:])) * model.u_lin**2 <= 2.0**-56
+    rng = np.random.default_rng(8)
+    # far out to t = 1e150, where t**2 E_{rho,rho} is still a normal double
+    decades = 150.0 - math.log10(model.tlo / model.u_lin)
+    far = model.u_lin * 10.0 ** -rng.uniform(0.0, decades, 500)
+    near = np.exp(rng.uniform(math.log(model.u_lin), 0.0, 500))
+    far[0], near[0] = model.u_lin, np.nextafter(model.u_lin, 1.0)
+    for u in (far, near, rng.permutation(np.concatenate([far, near]))):
+        t = model.tlo / u
+        u = model.tlo / t  # the u the evaluator forms
+        want = np.exp(np.polynomial.polynomial.polyval(u, model.coef)) / t**model.power
+        vals, ests = mlf._asym_many(rho, mu, t)
+        assert np.all(np.abs(vals - want) <= 4e-15 * want), (rho, mu)
+        assert np.all(ests == model.cert)
+
+
+@pytest.mark.parametrize("rho, mu", [(0.01, 0.01), (0.3, 0.3), (0.9, 1.0)])
+def test_far_points_do_not_depend_on_their_block(monkeypatch, rho, mu):
+    # each point picks the linear part or the full sum by its own u, so a
+    # point's bits are the same in a shuffled array of near and far points
+    # (blocks of mixed kinds, and a short last block) as in a lone call;
+    # some far points are ones where the two sums round apart
+    monkeypatch.setattr(mlf, "_BLOCK_POINTS", 64)
+    model = mlf._cheb_get(rho, mu, mlf._asym_build)
+    edge = model.tlo / model.u_lin
+    rng = np.random.default_rng(9)
+    u = model.u_lin * 10.0 ** -rng.uniform(0.0, 0.5, 20_000)
+    full = np.exp(np.polynomial.polynomial.polyval(u, model.coef))
+    apart = u[full != np.exp(np.polynomial.polynomial.polyval(u, model.coef[:2]))][:20]
+    assert apart.size == 20
+    ts = np.concatenate(
+        [
+            [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)],
+            model.tlo / apart,
+            model.tlo * 10.0 ** rng.uniform(0.0, 12.0, 2 * 64 + 7 - 23),
+        ]
+    )
+    rng.shuffle(ts)
+    params = mlf.MlfParams(rho, mu)
+    vals, ests, codes = mlf.mlf_neg_array(params, ts)
+    u = model.tlo / ts
+    assert np.count_nonzero(u <= model.u_lin) > 20 and np.count_nonzero(u > model.u_lin) > 20
+    assert np.all(codes == mlf._ASY)
+    for i, t in enumerate(ts.tolist()):
+        rep = mlf.mlf_neg(params, t)
+        lone = np.array([rep.value, rep.est_rel_error])
+        assert lone.tobytes() == np.array([vals[i], ests[i]]).tobytes(), t
 
 
 @pytest.mark.parametrize("rho", [0.9999999, 1.0 - 1e-9, 1.0 - 1e-12, 0.9999999999999999])
