@@ -53,7 +53,9 @@ bounds, each stated in t (s >= 36 if and only if t >= 36**rho):
   panels placed around the integrand's peak.  The model is certified at 13
   off-node probes, whose reference values come from a 24-node rule:
   cert = 4 * (largest probe error + largest gap between the two rules),
-  at least 1e-12.  Near rho = 1, where 129 nodes cannot certify 1e-12 over
+  at least 1e-12.  A fit whose monomials (in v mapped to [-1, 1]) sum to at
+  most 16 in magnitude, as for rho <= 0.7 and (0.75, 1), is summed by
+  Horner's rule.  Near rho = 1, where 129 nodes cannot certify 1e-12 over
   the wide zone, the model keeps to t in (5**rho, 36**rho) and states
   that lower end.  Positivity of E makes the log form safe.  Pairs without
   a model (mu < rho, mu > 1, rho = 1 outside the closed forms) leave their
@@ -82,8 +84,8 @@ branch is elementwise, so blocking changes no bit of the values, estimates
 or branch codes.  A block whose nonzero points one zone holds is evaluated
 in place: the zone's branch runs on the block itself and writes into its
 slice of the output, with no index gather or scatter and the same bits as
-a mixed block; the gap model is summed on preallocated buffers in numpy
-chebval's operation order, the asymptotic one in place in polyval's.  All
+a mixed block; a model is summed as numpy sums it, by Horner's rule in
+place as polyval, or by Clenshaw's on preallocated buffers as chebval.  All
 functions are pure; a model is built on the first block with a point in its
 zone, and the model cache, one entry per (zone, rho, mu), is append-only and
 idempotent, so concurrent builds are safe (worst case, duplicated work).
@@ -360,8 +362,8 @@ _V_TOP = math.log(50.0)  # e^{-r} < 2e-22 past r = 50
 _TAIL = 1e-18  # the lower cut: e^{(rho-mu+1) v} below this
 _CHEB_STOP = 2.5e-13  # probe error at which a build stops doubling its nodes
 _CHEB_NODES_MAX = 129
-# Horner's rule in u in [0, 1] loses about eps * sum|monomial coef|; past
-# this sum the asymptotic model stays a Chebyshev series
+# Horner's rule over [0, 1] or [-1, 1] loses about eps * sum|monomial coef|;
+# past this sum a model stays a Chebyshev series
 _HORNER_MAX = 16.0
 # at u <= u_lin the terms of degree 2 and up add at most this to the log
 _LINEAR_TAIL = 2.0**-56
@@ -372,9 +374,10 @@ class _ChebModel:
     """log(t**power E(-t)) as a series in x over [lo, hi], for t from tlo up.
 
     The gap model (power 0), which ends at 36**rho, is a Chebyshev series in
-    x = log t; the asymptotic one (power 1, or 2 when mu = rho), which takes
-    every t >= 36**rho, a polynomial in x = tlo/t over [0, 1] when horner is
-    set, else a Chebyshev series in x = 1/t over [0, 36**-rho].  At x <= u_lin
+    x = log t, or with horner a polynomial in its normalized w in [-1, 1];
+    the asymptotic one (power 1, or 2 when mu = rho), which takes every
+    t >= 36**rho, a polynomial in x = tlo/t over [0, 1] with horner, else a
+    Chebyshev series in x = 1/t over [0, 36**-rho].  At x <= u_lin
     a polynomial's terms past c1 x add at most _LINEAR_TAIL to the log.
     """
 
@@ -466,7 +469,8 @@ def _cheb_fit(values, lo: float, hi: float, nnode: int):
 
 
 def _gap_fit(rho: float, mu: float, tlo: float, vlo: float, vhi: float) -> _ChebModel:
-    """The gap model of log E(-e^v) on [vlo, vhi].
+    """The gap model of log E(-e^v) on [vlo, vhi]: monomials in v mapped to
+    [-1, 1] when their absolute sum is at most _HORNER_MAX, else the Chebyshev fit.
 
     vlo is log(tlo) as the caller rounds it; routing compares t with tlo.
     """
@@ -478,6 +482,9 @@ def _gap_fit(rho: float, mu: float, tlo: float, vlo: float, vhi: float) -> _Cheb
         vhi,
         17 if width < 0.4 else (25 if width < 1.0 else 33),
     )
+    mono = np.polynomial.chebyshev.cheb2poly(coef)
+    if np.sum(np.abs(mono)) <= _HORNER_MAX:
+        return _ChebModel(tlo, vlo, vhi, 0, mono, cert, horner=True)
     return _ChebModel(tlo, vlo, vhi, 0, coef, cert)
 
 
@@ -536,13 +543,22 @@ def _cheb_get(rho: float, mu: float, build=_cheb_build) -> _ChebModel:
     return model
 
 
+def _horner(c: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """polyval(x, c) into out, in place and in numpy polyval's operation order."""
+    np.multiply(x, c[-1], out=out)
+    out += c[-2]
+    for a in c[-3::-1]:
+        out *= x
+        out += a
+
+
 def _cheb_many(model: _ChebModel, x: np.ndarray, out_v=None, out_e=None):
     """e^{the model's series} at its variable x, clipped to [lo, hi], and the certificates.
 
     Writes (values, certificates) into out_v, out_e (new arrays when None)
-    and returns them; x is overwritten with the normalized variable.  The
-    series is summed by Clenshaw's recurrence in numpy chebval's operation
-    order, so every bit is chebval's, on out_v, out_e and two new buffers.
+    and returns them; x is overwritten with the normalized variable.  A
+    Horner model is summed in place, every bit numpy polyval's, a Chebyshev
+    one by Clenshaw on out_v, out_e and two new buffers, every bit chebval's.
     """
     out_v, out_e = _outputs(x.size, out_v, out_e)
     w = x
@@ -552,19 +568,22 @@ def _cheb_many(model: _ChebModel, x: np.ndarray, out_v=None, out_e=None):
     w /= model.hi - model.lo
     np.clip(w, -1.0, 1.0, out=w)
     c = model.coef
-    x2 = 2.0 * w
-    c1 = np.multiply(x2, c[-1], out=out_v)  # chebval's first step, on scalars
-    c1 += c[-2]
-    c0, spare = c[-3] - c[-1], np.empty_like(w)
-    for i in range(4, len(c) + 1):
-        # chebval's step: c0, c1 = c[-i] - c1, c0 + c1*x2
-        np.multiply(c1, x2, out=spare)
-        spare += c0
-        c0 = np.subtract(c[-i], c1, out=out_e)
-        c1, spare = spare, c1
-    # chebval's result c0 + c1*w; out_v is c1 or spare here, c0 is out_e
-    np.multiply(c1, w, out=out_v)
-    out_v += c0
+    if model.horner:
+        _horner(c, w, out_v)
+    else:
+        x2 = 2.0 * w
+        c1 = np.multiply(x2, c[-1], out=out_v)  # chebval's first step, on scalars
+        c1 += c[-2]
+        c0, spare = c[-3] - c[-1], np.empty_like(w)
+        for i in range(4, len(c) + 1):
+            # chebval's step: c0, c1 = c[-i] - c1, c0 + c1*x2
+            np.multiply(c1, x2, out=spare)
+            spare += c0
+            c0 = np.subtract(c[-i], c1, out=out_e)
+            c1, spare = spare, c1
+        # chebval's result c0 + c1*w; out_v is c1 or spare here, c0 is out_e
+        np.multiply(c1, w, out=out_v)
+        out_v += c0
     np.exp(out_v, out=out_v)
     out_e.fill(model.cert)
     return out_v, out_e
@@ -603,11 +622,7 @@ def _asym_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e=None):
         u = np.divide(model.tlo, t, out=out_e)
         any_far = u.min() <= model.u_lin  # a block with none pays one reduction
         c = model.coef[:2] if any_far and u.max() <= model.u_lin else model.coef
-        np.multiply(u, c[-1], out=out_v)
-        out_v += c[-2]
-        for a in c[-3::-1]:
-            out_v *= u
-            out_v += a
+        _horner(c, u, out_v)
         if any_far and c.size > 2:  # a mixed block's far points, as a far block sums them
             np.copyto(out_v, u * c[1] + c[0], where=u <= model.u_lin)
         np.exp(out_v, out=out_v)

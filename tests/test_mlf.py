@@ -306,13 +306,14 @@ def test_single_zone_block_matches_mixed_array_and_lone_calls(
         assert rep.branch is mlf.branch_from_code(alone[2][i])
 
 
-@pytest.mark.parametrize("rho, mu", [(0.5, 1.0), (0.7, 1.0), (0.3, 0.3)])
+@pytest.mark.parametrize("rho, mu", [(0.5, 1.0), (0.7, 1.0), (0.3, 0.3), (0.9, 1.0)])
 @pytest.mark.parametrize("build", [mlf._cheb_build, mlf._asym_build])
 def test_cheb_many_equals_chebval_bit_for_bit(rho, mu, build):
-    # the gap model's in-place Clenshaw sum keeps numpy chebval's operation
-    # order, with x also past both ends, where w is clipped; the asymptotic
-    # model's in-place Horner sum keeps numpy polyval's, in u = tlo/t, and
-    # at u <= u_lin polyval's over the linear part
+    # the gap model's in-place sum keeps numpy polyval's operation order for
+    # a Horner model and chebval's for a Chebyshev one ((0.9, 1)), with x
+    # also past both ends, where w is clipped; the asymptotic model's
+    # in-place Horner sum keeps polyval's, in u = tlo/t, and at u <= u_lin
+    # polyval's over the linear part
     model = mlf._cheb_get(rho, mu, build)
     if build is mlf._asym_build:
         rng = np.random.default_rng(5)
@@ -340,7 +341,8 @@ def test_cheb_many_equals_chebval_bit_for_bit(rho, mu, build):
     w = np.concatenate([[-1.0, 1.0, -1.5, 1.5], np.random.default_rng(5).uniform(-1, 1, 10**4)])
     x = 0.5 * (model.lo + model.hi) + 0.5 * (model.hi - model.lo) * w
     want_w = np.clip((2.0 * x - model.lo - model.hi) / (model.hi - model.lo), -1.0, 1.0)
-    want = np.exp(np.polynomial.chebyshev.chebval(want_w, model.coef))
+    series = np.polynomial.polynomial.polyval if model.horner else np.polynomial.chebyshev.chebval
+    want = np.exp(series(want_w, model.coef))
     vals, ests = mlf._cheb_many(model, x.copy())
     assert vals.tobytes() == want.tobytes()
     assert np.all(ests == model.cert)
@@ -469,6 +471,31 @@ def test_asymptotic_model_monomials_stay_small(rho, mu_kind):
     model = mlf._cheb_get(rho, mu, mlf._asym_build)
     assert model.cert <= 1e-12
     assert np.sum(np.abs(model.coef)) <= 16.0, (rho, mu, model.coef)
+
+
+@pytest.mark.parametrize(
+    "rho", [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.8, 0.9, 0.99, 0.9999]
+)
+@pytest.mark.parametrize("mu_kind", ["rho", "mid", "one"])
+def test_gap_model_monomials_stay_small(monkeypatch, rho, mu_kind):
+    # a gap model is summed by Horner's rule in w in [-1, 1] exactly when its
+    # monomials' absolute sum is at most 16, which keeps the conversion's
+    # loss to a few ulp: its values stay within 4e-15 of the same fit summed
+    # by Clenshaw's recurrence
+    mu = {"rho": rho, "mid": 0.5 * (1.0 + rho), "one": 1.0}[mu_kind]
+    model = mlf._cheb_get(rho, mu)
+    mono = model.coef if model.horner else np.polynomial.chebyshev.cheb2poly(model.coef)
+    assert model.horner == (np.sum(np.abs(mono)) <= 16.0), (rho, mu, model.coef.size)
+    if not model.horner:
+        return
+    monkeypatch.setattr(mlf, "_HORNER_MAX", 0.0)
+    cheb = mlf._cheb_build(rho, mu)
+    assert not cheb.horner
+    assert (cheb.tlo, cheb.lo, cheb.hi, cheb.cert) == (model.tlo, model.lo, model.hi, model.cert)
+    x = np.random.default_rng(12).uniform(model.lo, model.hi, 10**4)
+    want, _ = mlf._cheb_many(cheb, x.copy())
+    vals, _ = mlf._cheb_many(model, x.copy())
+    assert np.all(np.abs(vals - want) <= 4e-15 * want), (rho, mu)
 
 
 @pytest.mark.parametrize(
