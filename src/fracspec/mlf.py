@@ -1,7 +1,9 @@
 """Two-parameter Mittag-Leffler function E_{rho,mu}(-t) on the negative real axis.
 
-The evaluator certifies a relative error at or below 1e-10 for rho in
-[0.1, 1], mu in {1, rho}, t in [0, 1e8].  The hard quantity is
+The evaluator certifies a relative error at or below 1e-10, or raises
+``AccuracyError``.  For 0 < rho < 1 and mu in {1, rho} it answers t from 0
+up to the largest double, except where E_{rho,rho}(-t) ~ t^-2 leaves the
+normal doubles (below).  The hard quantity is
 s = t**(1/rho): the power series loses about 0.4343*s decimal digits to
 cancellation, while the inverse-power asymptotic series bottoms out near
 exp(-s).  Each point is routed by comparing t itself with its pair's zone
@@ -28,15 +30,18 @@ bounds, each stated in t (s >= 36 if and only if t >= 36**rho):
   16 (it reaches 5e10 and beyond), the model keeps the Chebyshev series in y
   and is summed by Clenshaw's recurrence.
   E is smooth at y = 0, so it covers the whole zone; it is pinned against
-  mpmath up to t = 1e300 (1e150 for mu = rho, whose E ~ t^-2 leaves the normal
-  doubles near 1e152-1e154 and reads 0.0 from ~1e160 on).  Only pairs
+  mpmath up to t = 1e300 (1e150 for mu = rho).  A value below the normal
+  doubles keeps fewer bits, so its estimate gains 2**-1074/v, infinite at
+  0.0: E_{rho,rho} ~ t^-2 leaves the normal doubles near t = 1e152-1e154,
+  and from about 1e154-1e158 on, depending on rho, its points miss the
+  target, go to the valve and raise ``AccuracyError``.  Only pairs
   without a model take the inverse-power series
-  Sum_{k>=1} (-1)^{k+1} t^{-k}/Gamma(mu-rho k), stopped by a smooth term
-  envelope.  Near-pole terms dip far below the envelope (and pole terms
-  vanish exactly), so raw term magnitudes are useless for stopping; the
-  envelope t^{-k}*Gamma(1+rho*k-mu)/pi is what decays and then grows.  At
-  s = 36 the envelope minimum certifies no better than ~1e-10 near
-  rho = mu = 1, and machine precision for s >= 50.
+  Sum_{k>=1} (-1)^{k+1} t^{-k}/Gamma(mu-rho k), stopped per point by a
+  smooth term envelope.  Near-pole terms dip far below the envelope (and
+  pole terms vanish exactly), so raw term magnitudes are useless for
+  stopping; the envelope t^{-k}*Gamma(1+rho*k-mu)/pi is what decays and
+  then grows.  At s = 36 the envelope minimum certifies no better than
+  ~1e-10 near rho = mu = 1, and machine precision for s >= 50.
 * the gap zone in between, for 0 < rho < 1 and rho <= mu <= 1: a per-(rho, mu)
   Chebyshev interpolant of log E(-e^v), v = log t, over t from its lower
   end, 0.5 (mu >= 0.45) or 3**rho (mu < 0.45), up to 36**rho.  Its node
@@ -68,8 +73,9 @@ bounds, each stated in t (s >= 36 if and only if t >= 36**rho):
 Any element whose certified estimate still exceeds the target escalates
 to the extended-precision series (mpmath) with cancellation-aware digits;
 that valve is the one extended-precision path and the only code that
-imports mpmath.  Gap-model values report the ``extended_precision``
-branch as well.
+imports mpmath.  A point it cannot certify, as one whose s = t**(1/rho)
+would need more than 400 digits, raises ``AccuracyError``.  Gap-model
+values report the ``extended_precision`` branch as well.
 
 The kernel's running integral, K(x) = x^rho E_{rho,rho+1}(-lam x^rho), is
 x^rho Sum_{k>=1} (-y)^{k-1}/Gamma(rho k+1) where y = lam x^rho <= 0.5, and
@@ -105,6 +111,8 @@ from . import gammafn
 from .errors import AccuracyError, DomainError
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
+_SUBNORMAL_MIN = 2.0**-1074  # the spacing of the doubles below _TINY
 _LOG_PI = math.log(math.pi)
 
 TARGET_REL = 1e-10
@@ -174,54 +182,40 @@ def _outputs(n: int, out_v, out_e):
 def _series_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e=None):
     """Compensated direct series; t restricted to the series trust zone.
 
-    Writes (values, estimates) into out_v, out_e (new arrays when None) and
-    returns them.
+    Every point stays in the arrays for the whole loop, under the mask live;
+    a point retires at its own stopping term, where its value and estimate
+    are written, so its bits do not depend on its neighbours.  Writes
+    (values, estimates) into out_v, out_e (new arrays when None) and returns
+    them.
     """
     n = t.size
     out_v, out_e = _outputs(n, out_v, out_e)
-    pos = np.arange(n)
-    tw = np.array(t, dtype=float)
-    s = np.zeros(n)
-    c = np.zeros(n)
-    absum = np.zeros(n)
-    p = np.ones(n)
+    neg_t = -np.asarray(t, dtype=float)
+    s, c, absum, p = np.zeros(n), np.zeros(n), np.zeros(n), np.ones(n)
+    live, left = np.ones(n, dtype=bool), n
     k = 0
-    while pos.size:
+    while left:
         arg = rho * k + mu
-        rg = float(gammafn.rgamma(arg))
-        term = p * rg
+        term = p * float(gammafn.rgamma(arg))
         y = term - c
         snew = s + y
         c = (snew - s) - y
         s = snew
         absum += np.abs(term)
-        exhausted = k > _SERIES_KMAX
-        if (arg > 2.5 and k >= 2) or exhausted:
+        if (arg > 2.5 and k >= 2) or k > _SERIES_KMAX:
             mag = np.maximum(np.abs(s), 1e-300)
-            done = np.abs(term) <= 1e-18 * mag
-            if exhausted:
-                done = np.ones(pos.size, dtype=bool)
-            if done.any():
-                magd = mag[done]
-                est = absum[done] / magd * (8.0 * _EPS) + 2.0 * np.abs(term[done]) / magd
-                out_v[pos[done]] = s[done]
-                out_e[pos[done]] = est
-                keep = ~done
-                pos = pos[keep]
-                tw = tw[keep]
-                s = s[keep]
-                c = c[keep]
-                absum = absum[keep]
-                p = p[keep]
-                if not pos.size:
-                    break
-                term = term[keep]
-        p = p * (-tw)
-        # elements this far past their stopping point are already done;
-        # the clamp only guards the shared loop against overflow
-        big = np.abs(p) > 1e290
-        if big.any():
-            p[big] = 0.0
+            stop = np.abs(term) <= 1e-18 * mag if k <= _SERIES_KMAX else live
+            done = np.flatnonzero(stop & live)
+            if done.size:
+                m = mag[done]
+                out_v[done] = s[done]
+                out_e[done] = absum[done] / m * (8.0 * _EPS) + 2.0 * np.abs(term[done]) / m
+                live[done] = False
+                left -= done.size
+        p *= neg_t
+        # a point this far is past its stopping term (or retired); the clamp
+        # only guards the shared loop against overflow
+        np.putmask(p, np.abs(p) > 1e290, 0.0)
         k += 1
     return out_v, out_e
 
@@ -230,18 +224,20 @@ def _inverse_series_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e
     """Inverse-power series with envelope-based stopping; needs s >= ~36.
 
     It serves the asymptotic zone of the pairs without a y = 1/t model
-    (mu not in {1, rho}, and rho = 1 outside the closed forms).  Writes
-    (values, estimates) into out_v, out_e (new arrays when None) and
-    returns them.
+    (mu not in {1, rho}, and rho = 1 outside the closed forms).  Each term is
+    computed once for every live point; then both kinds of finished point
+    retire in one step: a point whose envelope turned up keeps the sum
+    before the term, one whose envelope fell below 1e-18 of its sum keeps
+    the sum after it.  The arrays then shrink to the live points, which stop
+    tens of terms apart.  Writes (values, estimates) into out_v, out_e (new
+    arrays when None) and returns them.
     """
     n = t.size
     out_v, out_e = _outputs(n, out_v, out_e)
     pos = np.arange(n)
     tw = np.array(t, dtype=float)
     lnt = np.log(tw)
-    s = np.zeros(n)
-    absum = np.zeros(n)
-    prev_env = np.full(n, np.inf)
+    s, absum, prev_env = np.zeros(n), np.zeros(n), np.full(n, np.inf)
     k = 1
     while pos.size:
         arg = mu - rho * k
@@ -249,51 +245,30 @@ def _inverse_series_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e
             env_log = -float(gammafn.lgamma(arg))
         else:
             env_log = float(gammafn.lgamma(1.0 - arg)) - _LOG_PI
-        with np.errstate(under="ignore"):
-            env = np.exp(env_log - k * lnt)
-        # optimal truncation: stop an element when its envelope turns up
-        grown = env > prev_env
-        if k > _ASYM_KMAX:
-            grown = np.ones(pos.size, dtype=bool)
-        if grown.any():
-            mag = np.maximum(np.abs(s[grown]), 1e-300)
-            out_v[pos[grown]] = s[grown]
-            out_e[pos[grown]] = (
-                8.0 * prev_env[grown] / mag + (absum[grown] / mag) * (24.0 * _EPS)
-            )
-            keep = ~grown
-            pos = pos[keep]
-            tw = tw[keep]
-            lnt = lnt[keep]
-            s = s[keep]
-            absum = absum[keep]
-            prev_env = prev_env[keep]
-            env = env[keep]
-            if not pos.size:
-                break
         # Gamma arguments stay small here (optimal truncation fires first),
         # so the power form keeps terms at a few ulp, unlike the exp form
-        rg = float(gammafn.rgamma(arg))
-        alt = 1.0 if k % 2 == 1 else -1.0
+        signed_rg = (1.0 if k % 2 == 1 else -1.0) * float(gammafn.rgamma(arg))
         with np.errstate(under="ignore"):
-            term = (alt * rg) * np.power(tw, -float(k))
-        s = s + term
-        absum += np.abs(term)
-        mag = np.maximum(np.abs(s), 1e-300)
-        small = env <= 1e-18 * mag
-        if small.any():
-            out_v[pos[small]] = s[small]
-            out_e[pos[small]] = (
-                env[small] / mag[small] + (absum[small] / mag[small]) * (24.0 * _EPS)
-            )
-            keep = ~small
-            pos = pos[keep]
-            tw = tw[keep]
-            lnt = lnt[keep]
-            s = s[keep]
-            absum = absum[keep]
-            env = env[keep]
-        prev_env = env
+            env = np.exp(env_log - k * lnt)
+            term = signed_rg * np.power(tw, -float(k))
+        s_next = s + term
+        absum_next = absum + np.abs(term)
+        # optimal truncation: stop a point when its envelope turns up
+        grown = env > prev_env if k <= _ASYM_KMAX else np.ones(pos.size, dtype=bool)
+        stop = grown | (env <= 1e-18 * np.maximum(np.abs(s_next), 1e-300))
+        done = np.flatnonzero(stop)
+        if done.size:
+            g = grown[done]
+            v = np.where(g, s[done], s_next[done])
+            a = np.where(g, absum[done], absum_next[done])
+            bound = np.where(g, 8.0 * prev_env[done], env[done])
+            mag = np.maximum(np.abs(v), 1e-300)
+            out_v[pos[done]] = v
+            out_e[pos[done]] = bound / mag + (a / mag) * (24.0 * _EPS)
+            keep = ~stop
+            pos, tw, lnt, env = pos[keep], tw[keep], lnt[keep], env[keep]
+            s_next, absum_next = s_next[keep], absum_next[keep]
+        s, absum, prev_env = s_next, absum_next, env
         k += 1
     return out_v, out_e
 
@@ -335,8 +310,10 @@ def _mp_value(rho: float, mu: float, t: float, dps: int):
 
 
 def _mp_eval(rho: float, mu: float, t: float):
-    s_hard = t ** (1.0 / rho) if rho != 1.0 else t
-    digits = 0.4343 * s_hard
+    try:
+        digits = 0.4343 * t ** (1.0 / rho)
+    except OverflowError:  # s = t**(1/rho) past the doubles
+        digits = math.inf
     if not math.isfinite(digits) or digits > 400.0:
         raise AccuracyError(
             f"cancellation beyond extended-precision budget (rho={rho}, t={t})"
@@ -603,7 +580,10 @@ def _asym_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e=None):
     by Horner's rule on out_v, or, where the model keeps its Chebyshev series,
     by Clenshaw's in y = 1/t; the other pairs take the inverse-power series.
     A point with u <= u_lin takes c0 + c1 u, chosen per point, never per block.
-    Writes (values, estimates) into out_v, out_e (new arrays when None).
+    A model value below the normal doubles keeps fewer bits, so its estimate
+    gains 2**-1074/v (inf at 0.0) and, past the target, the valve takes the
+    point and raises.  Writes (values, estimates) into out_v, out_e (new
+    arrays when None).
     """
     if not (0.0 < rho < 1.0 and mu in (1.0, rho)):
         return _inverse_series_many(rho, mu, t, out_v, out_e)
@@ -615,20 +595,24 @@ def _asym_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e=None):
             scale = y**model.power
         out_v, out_e = _cheb_many(model, y, out_v, out_e)
         out_v *= scale
-        return out_v, out_e
-    out_v, out_e = _outputs(t.size, out_v, out_e)
-    # t >= tlo puts u in (0, 1], held in out_e; u and E_{rho,rho} underflow far out
-    with np.errstate(under="ignore"):
-        u = np.divide(model.tlo, t, out=out_e)
-        any_far = u.min() <= model.u_lin  # a block with none pays one reduction
-        c = model.coef[:2] if any_far and u.max() <= model.u_lin else model.coef
-        _horner(c, u, out_v)
-        if any_far and c.size > 2:  # a mixed block's far points, as a far block sums them
-            np.copyto(out_v, u * c[1] + c[0], where=u <= model.u_lin)
-        np.exp(out_v, out=out_v)
-        for _ in range(model.power):
-            out_v /= t
-    out_e.fill(model.cert)
+    else:
+        out_v, out_e = _outputs(t.size, out_v, out_e)
+        # t >= tlo puts u in (0, 1], held in out_e; u and E_{rho,rho} underflow far out
+        with np.errstate(under="ignore"):
+            u = np.divide(model.tlo, t, out=out_e)
+            any_far = u.min() <= model.u_lin  # a block with none pays one reduction
+            c = model.coef[:2] if any_far and u.max() <= model.u_lin else model.coef
+            _horner(c, u, out_v)
+            if any_far and c.size > 2:  # a mixed block's far points, as a far block sums them
+                np.copyto(out_v, u * c[1] + c[0], where=u <= model.u_lin)
+            np.exp(out_v, out=out_v)
+            for _ in range(model.power):
+                out_v /= t
+        out_e.fill(model.cert)
+    if out_v.min() < _TINY:  # a block with no such value pays one reduction
+        sub = out_v < _TINY
+        with np.errstate(divide="ignore"):
+            out_e[sub] += _SUBNORMAL_MIN / out_v[sub]
     return out_v, out_e
 
 

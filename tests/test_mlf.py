@@ -114,6 +114,26 @@ def test_erfcx_identity_across_all_branches():
         assert rep.value == pytest.approx(want, rel=2e-10), (t, rep.branch)
 
 
+def test_pair_without_model_matches_erfcx_closed_form():
+    # E_{1/2,3/2}(-t) = (1 - erfcx(t))/t, from E_{a,b}(z) = 1/Gamma(b) + z E_{a,a+b}(z):
+    # mu = 3/2 has no model, so its points take the series up to 5**rho, the
+    # valve up to 36**rho and the inverse-power series from there
+    params = mlf.MlfParams(0.5, 1.5)
+    for t in [0.3, 1.0, 2.0, 4.0, 5.9, 6.1, 10.0, 40.0, 1e3, 1e4, 1e8]:
+        rep = mlf.mlf_neg(params, t)
+        with mpmath.mp.workdps(50):
+            tt = mpmath.mpf(t)
+            ref = (1 - mpmath.exp(tt**2) * mpmath.erfc(tt)) / tt
+            err = float(abs(rep.value - ref) / ref)
+        assert err <= rep.est_rel_error <= 1e-10, (t, err, rep)
+        if t <= 5.0**0.5:
+            assert rep.branch is mlf.Branch.SERIES, t
+        elif t < 6.0:
+            assert rep.branch is mlf.Branch.EXTENDED_PRECISION, t
+        else:
+            assert rep.branch is mlf.Branch.ASYMPTOTIC, t
+
+
 def test_classical_limit_is_exponential():
     params = mlf.MlfParams(1.0, 1.0)
     for t in [0.0, 1e-12, 0.5, 30.0, 78.0, 700.0]:
@@ -270,6 +290,8 @@ SINGLE_ZONES = [
     (0.5, 1.0, 6.0, 1e300, mlf._ASY),  # and the same model up to 1e300
     (1.0, 1.0, 1e-3, 700.0, mlf._CLO),
     (0.5, 1.3, 2.3, 5.9, mlf._EXT),  # no model: every point goes to the valve
+    (0.5, 1.3, 6.0, 1e8, mlf._ASY),  # no model: the inverse-power series
+    (0.3, 0.3, 1e-6, 1.38, mlf._SER),  # the narrow series zone t <= 3**rho
 ]
 
 
@@ -336,7 +358,11 @@ def test_cheb_many_equals_chebval_bit_for_bit(rho, mu, build):
                 want = want / t
         vals, ests = mlf._asym_many(rho, mu, t)
         assert vals.tobytes() == want.tobytes()
-        assert np.all(ests == model.cert)
+        # a value below the normal doubles is charged at least its own spacing
+        normal = vals >= np.finfo(float).tiny
+        assert np.all(ests[normal] == model.cert)
+        with np.errstate(divide="ignore"):
+            assert np.all(ests[~normal] >= 2.0**-1074 / vals[~normal])
         return
     w = np.concatenate([[-1.0, 1.0, -1.5, 1.5], np.random.default_rng(5).uniform(-1, 1, 10**4)])
     x = 0.5 * (model.lo + model.hi) + 0.5 * (model.hi - model.lo) * w
@@ -454,10 +480,26 @@ def test_asymptotic_model_error_within_estimate(rho, mu_kind):
         # the model is far better than its certificate claims
         assert err <= 2.5e-14, (rho, mu, t, err)
     if mu == rho:
-        # past underflow the value is 0.0, still from the model, and the
-        # valve is not reached
-        vals, _, codes = mlf.mlf_neg_array(params, [1e200, 1.7e308])
-        assert vals.tolist() == [0.0, 0.0] and np.all(codes == mlf._ASY)
+        # past underflow the model's value is 0.0, certified nowhere, so the
+        # valve takes it and raises
+        with pytest.raises(AccuracyError):
+            mlf.mlf_neg_array(params, [1e200, 1.7e308])
+
+
+@pytest.mark.parametrize("rho, mu, t", [(0.5, 0.5, 1e155), (0.9999, 1.0, 1.7e308)])
+def test_subnormal_model_value_estimate_bounds_its_error(rho, mu, t):
+    # below the normal doubles a value keeps fewer bits: 2.8e-311 at
+    # (0.5, 0.5), and 5.9e-313 at (0.9999, 1), whose spacing 2**-1074 is
+    # 8e-12 of it; the estimate must still bound the error against the
+    # inverse-power series in mpmath, whose terms fall by 1/t each
+    rep = mlf.mlf_neg(mlf.MlfParams(rho, mu), t)
+    assert rep.branch is mlf.Branch.ASYMPTOTIC
+    assert 0.0 < rep.value < np.finfo(float).tiny
+    with mpmath.mp.workdps(50):
+        r, m, tt = mpmath.mpf(rho), mpmath.mpf(mu), mpmath.mpf(t)
+        ref = sum((-1) ** (k + 1) * tt**-k * mpmath.rgamma(m - r * k) for k in range(1, 6))
+        err = float(abs(rep.value - ref) / ref)
+    assert err <= rep.est_rel_error <= mlf.TARGET_REL, (err, rep)
 
 
 @pytest.mark.parametrize(
