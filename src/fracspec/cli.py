@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .counterexample import divergence_sum, hl_coefficients
+from .counterexample import HLDatum, divergence_sum
 from .errors import (
     AccuracyError,
     AliasError,
@@ -415,7 +415,7 @@ def cmd_counterexample(args) -> int:
     k_max = _bounded_k_max(int(args.k_max))
     if k_max < 200:
         raise ConfigError(f"k_max must be >= 200 for a meaningful fit, got {k_max}")
-    datum = hl_coefficients(k_max)
+    datum = HLDatum(k_max)  # the fit reads no coefficient, so none is built
     k0 = int(args.k0)
     top = math.log10(k_max)
     checkpoints = sorted(set(np.logspace(2, top, 16).astype(int)))

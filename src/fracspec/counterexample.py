@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, InconclusiveError
-from .mlf import MlfParams, mlf_neg_array
-from .spectra import SpectralField, radial_weight_sq, require_alias_free
+from .mlf import _BLOCK_POINTS, MlfParams, mlf_neg_array
+from .spectra import SpectralField, _run_sums, radial_weight_sq, require_alias_free
 from .spectra import synthesize, tail_verdicts
 
 _EULER_GAMMA = 0.5772156649015329
@@ -31,7 +32,25 @@ class HLDatum:
     """Coefficients e^{i n ln n}/(2n) for 1 <= n <= k_max, conjugate-extended."""
 
     k_max: int
-    coeffs_pos: np.ndarray  # phi_n for n = 1..k_max; phi_{-n} is the conjugate
+
+    def __post_init__(self):
+        if self.k_max < 2:
+            raise DomainError(f"k_max must be >= 2, got {self.k_max}")
+
+    @cached_property
+    def coeffs_pos(self) -> np.ndarray:
+        """phi_n for n = 1..k_max (phi_{-n} is the conjugate), built on first read."""
+        coeffs = np.empty(self.k_max, dtype=complex)
+        parts = coeffs.view(float).reshape(-1, 2)  # re, im: complex division rounds them worse
+        for lo in range(0, self.k_max, _BLOCK_POINTS):
+            n = np.arange(lo + 1, min(lo + _BLOCK_POINTS, self.k_max) + 1, dtype=float)
+            phases = n * np.log(n)  # n ln n; exactly 0 at n = 1
+            block = parts[lo : lo + n.size]
+            np.cos(phases, out=block[:, 0])
+            np.sin(phases, out=block[:, 1])
+            block /= (2.0 * n)[:, None]
+        coeffs.setflags(write=False)
+        return coeffs
 
     def field(self, limit: int | None = None) -> SpectralField:
         """Materialize a SpectralField truncated at |n| <= limit."""
@@ -49,19 +68,10 @@ class HLDatum:
 
 
 def hl_coefficients(k_max: int) -> HLDatum:
-    """Exact coefficients of the lacunary-phase datum up to |n| = k_max."""
-    k_max = int(k_max)
-    if k_max < 2:
-        raise DomainError(f"k_max must be >= 2, got {k_max}")
-    n = np.arange(1, k_max + 1, dtype=float)
-    phases = n * np.log(n)  # n ln n; exactly 0 at n = 1
-    coeffs = np.empty(k_max, dtype=complex)
-    np.cos(phases, out=coeffs.real)
-    np.sin(phases, out=coeffs.imag)
-    parts = coeffs.view(float).reshape(-1, 2)  # re, im: complex division rounds them worse
-    parts /= (2.0 * n)[:, None]
-    coeffs.setflags(write=False)
-    return HLDatum(k_max=k_max, coeffs_pos=coeffs)
+    """Exact coefficients of the lacunary-phase datum up to |n| = k_max, built now."""
+    datum = HLDatum(int(k_max))
+    _ = datum.coeffs_pos  # the first read builds them
+    return datum
 
 
 def abs_coeff_partial_sums(datum: HLDatum, checkpoints) -> list:
@@ -71,18 +81,14 @@ def abs_coeff_partial_sums(datum: HLDatum, checkpoints) -> list:
         raise DomainError(f"checkpoints must lie in [1, {datum.k_max}]")
     if not cps:
         return []
-    return _prefix_sums(2.0 * datum.moduli(), cps).tolist()
+    coeffs = datum.coeffs_pos
+    return _checkpoint_sums(1, cps, lambda lo, hi: 2.0 * np.abs(coeffs[lo - 1 : hi - 1])).tolist()
 
 
-def _prefix_sums(x: np.ndarray, ends) -> np.ndarray:
-    """sum(x[:k]) for each k in ends (nonempty, 1 <= k <= x.size), in their order.
-
-    The runs between distinct ends are summed pairwise by np.add.reduceat,
-    which gives x[i], not 0, for the empty run a repeated end would make.
-    """
+def _checkpoint_sums(first: int, ends, terms) -> np.ndarray:
+    """Sum of terms(lo, hi)'s n over first <= n <= k for each k >= first in ends, in order."""
     ks, back = np.unique(np.asarray(ends, dtype=np.int64), return_inverse=True)
-    runs = np.add.reduceat(x[: ks[-1]], np.concatenate(([0], ks[:-1])))
-    return np.cumsum(runs)[back]
+    return np.cumsum(_run_sums(np.concatenate(([first], ks + 1)), terms))[back]
 
 
 @dataclass(frozen=True)
@@ -104,8 +110,9 @@ def divergence_sum(datum: HLDatum, rho: float, t: float, k0: int, checkpoints) -
     like 1/(|n| Gamma(1-rho) t^rho), so U grows logarithmically with slope
     1/(Gamma(1-rho) t^rho).  Sums use certified evaluations, not the asymptote;
     the k0 precondition only guarantees the tail is deep enough for the
-    leading-order prediction to be clean.  Only the runs between checkpoints,
-    each summed pairwise, are accumulated: within ~2e-16 of the exact sum.
+    leading-order prediction to be clean.  Summands are made in blocks; each
+    run between checkpoints is the math.fsum of its blocks' pairwise partials,
+    and only those runs are accumulated: within ~2e-16 of the exact sum.
     """
     if rho == 1.0:
         raise DomainError("the classical limit decays exponentially; no divergence to fit")
@@ -125,12 +132,11 @@ def divergence_sum(datum: HLDatum, rho: float, t: float, k0: int, checkpoints) -
     if cps[0] <= k0 or cps[-1] > datum.k_max:
         raise DomainError(f"checkpoints must lie in ({k0}, {datum.k_max}]")
 
-    ns = np.arange(k0, cps[-1] + 1, dtype=float)
-    arg = ns**2
-    arg *= t**rho
-    evals, _ests, _codes = mlf_neg_array(MlfParams(rho, 1.0), arg)
-    evals *= ns
-    u_vals = _prefix_sums(evals, [k - k0 + 1 for k in cps]).tolist()
+    def terms(lo, hi):
+        ns = np.arange(lo, hi, dtype=float)
+        return mlf_neg_array(MlfParams(rho, 1.0), ns**2 * t**rho)[0] * ns
+
+    u_vals = _checkpoint_sums(k0, cps, terms).tolist()
 
     slope, _intercept = np.polyfit(np.log(cps), u_vals, 1)
     predicted = 1.0 / (math.gamma(1.0 - rho) * t**rho)
@@ -208,8 +214,9 @@ def critical_exponent(datum, a_grid, checkpoints) -> float:
 def _radial_weight_sq(datum):
     """(n_values, summed |phi_n|^2 with multiplicity) sorted by |n| > 0."""
     if isinstance(datum, HLDatum):
-        ns = np.arange(1, datum.k_max + 1, dtype=float)
-        return ns, 2.0 * datum.moduli() ** 2
+        wsq = datum.moduli()
+        np.square(wsq, out=wsq)  # in place, with the bits of moduli() ** 2
+        return np.arange(1, datum.k_max + 1, dtype=float), np.multiply(wsq, 2.0, out=wsq)
     if isinstance(datum, SpectralField):
         radii, weight_sq = radial_weight_sq(datum)
         if radii.size == 0:

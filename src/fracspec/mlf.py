@@ -34,14 +34,16 @@ bounds, each stated in t (s >= 36 if and only if t >= 36**rho):
   doubles keeps fewer bits, so its estimate gains 2**-1074/v, infinite at
   0.0: E_{rho,rho} ~ t^-2 leaves the normal doubles near t = 1e152-1e154,
   and from about 1e154-1e158 on, depending on rho, its points miss the
-  target, go to the valve and raise ``AccuracyError``.  Only pairs
-  without a model take the inverse-power series
-  Sum_{k>=1} (-1)^{k+1} t^{-k}/Gamma(mu-rho k), stopped per point by a
-  smooth term envelope.  Near-pole terms dip far below the envelope (and
-  pole terms vanish exactly), so raw term magnitudes are useless for
-  stopping; the envelope t^{-k}*Gamma(1+rho*k-mu)/pi is what decays and
-  then grows.  At s = 36 the envelope minimum certifies no better than
-  ~1e-10 near rho = mu = 1, and machine precision for s >= 50.
+  target, go to the valve and raise ``AccuracyError``, whose message names
+  the value below the normal doubles.  Only pairs without a model take the
+  inverse-power series Sum_{k>=1} (-1)^{k+1} t^{-k}/Gamma(mu-rho k),
+  stopped per point by a smooth term envelope; its estimate gains
+  2**-1074/|v| below the normal doubles too.  Near-pole terms dip far
+  below the envelope (and pole terms vanish exactly), so raw term
+  magnitudes are useless for stopping; the envelope
+  t^{-k}*Gamma(1+rho*k-mu)/pi is what decays and then grows.  At s = 36
+  the envelope minimum certifies no better than ~1e-10 near rho = mu = 1,
+  and machine precision for s >= 50.
 * the gap zone in between, for 0 < rho < 1 and rho <= mu <= 1: a per-(rho, mu)
   Chebyshev interpolant of log E(-e^v), v = log t, over t from its lower
   end, 0.5 (mu >= 0.45) or 3**rho (mu < 0.45), up to 36**rho.  Its node
@@ -228,9 +230,10 @@ def _inverse_series_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e
     computed once for every live point; then both kinds of finished point
     retire in one step: a point whose envelope turned up keeps the sum
     before the term, one whose envelope fell below 1e-18 of its sum keeps
-    the sum after it.  The arrays then shrink to the live points, which stop
-    tens of terms apart.  Writes (values, estimates) into out_v, out_e (new
-    arrays when None) and returns them.
+    the sum after it.  A sum v below the normal doubles adds their spacing,
+    2**-1074/|v|, to its estimate (infinite at 0.0).  The arrays then shrink
+    to the live points, which stop tens of terms apart.  Writes (values,
+    estimates) into out_v, out_e (new arrays when None) and returns them.
     """
     n = t.size
     out_v, out_e = _outputs(n, out_v, out_e)
@@ -262,9 +265,13 @@ def _inverse_series_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e
             v = np.where(g, s[done], s_next[done])
             a = np.where(g, absum[done], absum_next[done])
             bound = np.where(g, 8.0 * prev_env[done], env[done])
-            mag = np.maximum(np.abs(v), 1e-300)
+            mag = np.abs(v)
+            # below the normal doubles v is off by up to their spacing; the pad
+            # also keeps 0/0 out where every term underflowed
+            pad = np.where(mag < _TINY, _SUBNORMAL_MIN, 0.0)
             out_v[pos[done]] = v
-            out_e[pos[done]] = bound / mag + (a / mag) * (24.0 * _EPS)
+            with np.errstate(divide="ignore"):
+                out_e[pos[done]] = (bound + pad) / mag + ((a + pad) / mag) * (24.0 * _EPS)
             keep = ~stop
             pos, tw, lnt, env = pos[keep], tw[keep], lnt[keep], env[keep]
             s_next, absum_next = s_next[keep], absum_next[keep]
@@ -685,7 +692,15 @@ def _eval_block(rho: float, mu: float, t: np.ndarray, vals, ests, codes) -> None
     # correctness valve: anything not certified re-runs at extended precision
     bad = np.flatnonzero(ests > TARGET_REL) if ests.max() > TARGET_REL else ()
     for j in bad:
-        vals[j], ests[j] = _mp_eval(rho, mu, float(t[j]))
+        try:
+            vals[j], ests[j] = _mp_eval(rho, mu, float(t[j]))
+        except AccuracyError:
+            if abs(vals[j]) < _TINY:  # the branch's value, below the normal doubles
+                raise AccuracyError(
+                    f"value {vals[j]:.3g} is below the normal doubles: no branch "
+                    f"certifies {TARGET_REL:g} (rho={rho}, mu={mu}, t={t[j]})"
+                ) from None
+            raise
         codes[j] = _EXT
     # only an escalated point can still miss the target
     for j in bad:

@@ -35,6 +35,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import AliasError, DomainError, HypothesisError, ZeroModeError
+from .mlf import _BLOCK_POINTS
 
 _TWO_PI = 2.0 * math.pi
 
@@ -453,20 +454,39 @@ def radial_weight_sq(c: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(shells), np.bincount(member, weights=np.abs(c._values[keep]) ** 2)
 
 
-def _octave_sums(r: np.ndarray, weight_sq, exponents, n_shells: int):
-    """Per a, Sum (1+r^2)^a w_r over each run 2^j <= r < 2^(j+1), j < n_shells, of ascending r."""
-    starts = np.searchsorted(r, 2.0 ** np.arange(n_shells + 1))
-    # reduceat would read an empty run as its first element: sum the others only
-    full = np.flatnonzero(np.diff(starts))
-    log_weight = np.log1p(np.square(r[: starts[-1]]))
-    w = np.asarray(weight_sq, dtype=float)[: starts[-1]]
-    terms = np.empty_like(log_weight)
-    for a in exponents:
-        np.exp(np.multiply(log_weight, float(a), out=terms), out=terms)
-        terms *= w
-        sums = np.zeros(n_shells)
-        sums[full] = np.add.reduceat(terms, starts[full])
-        yield sums
+def _run_sums(edges, terms) -> np.ndarray:
+    """Sums over the runs edges[j] <= i < edges[j+1] of items terms(lo, hi) gives on its last axis.
+
+    Items come in blocks of mlf._BLOCK_POINTS, whose runs np.add.reduceat sums
+    pairwise; each run's block partials are combined by math.fsum.
+    """
+    edges = np.asarray(edges, dtype=np.int64)
+    parts = []
+    for lo in range(edges[0], edges[-1], _BLOCK_POINTS) or (edges[0],):  # none: zeros
+        x = terms(lo, min(lo + _BLOCK_POINTS, edges[-1]))
+        cuts = np.minimum(np.maximum(edges - lo, 0), x.shape[-1])
+        # reduceat would read an empty run as its first item: sum the others only
+        full = np.flatnonzero(cuts[1:] > cuts[:-1])
+        parts.append(np.zeros(x.shape[:-1] + (edges.size - 1,)))
+        parts[-1][..., full] = np.add.reduceat(x, cuts[full], axis=-1)
+    runs = zip(*(p.ravel().tolist() for p in parts))
+    return np.reshape([math.fsum(run) for run in runs], parts[0].shape)
+
+
+def _octave_sums(r: np.ndarray, weight_sq, exponents, n_shells: int) -> np.ndarray:
+    """Per a, a row of Sum (1+r^2)^a w_r over each run 2^j <= r < 2^(j+1), j < n_shells.
+
+    Each sum is the math.fsum of the run's pairwise block partials (_run_sums).
+    """
+    w = np.asarray(weight_sq, dtype=float)
+    a = np.asarray(exponents, dtype=float)[:, None]
+    buf = np.empty((a.size, _BLOCK_POINTS))  # one buffer for every block's terms
+
+    def terms(lo, hi):
+        x = np.multiply(np.log1p(np.square(r[lo:hi])), a, out=buf[:, : hi - lo])
+        return np.multiply(np.exp(x, out=x), w[lo:hi], out=x)
+
+    return _run_sums(np.searchsorted(r, 2.0 ** np.arange(n_shells + 1)), terms)
 
 
 def tail_verdicts(radii, weight_sq, exponents, complete_radius) -> list:

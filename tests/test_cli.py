@@ -99,6 +99,12 @@ def test_mlf_invalid_parameters(capsys):
     assert main(["mlf", "0.5", "-1", "1"]) == 1
 
 
+def test_mlf_value_below_normal_doubles_exits_1(capsys):
+    assert main(["mlf", "0.5", "0.5", "1e200"]) == 1
+    err = capsys.readouterr().err
+    assert "below the normal doubles" in err and "cancellation" not in err
+
+
 # --- solve -----------------------------------------------------------------------
 
 
@@ -346,6 +352,32 @@ def test_counterexample_files_and_fit(tmp_path, capsys):
     assert rows[0] == "k,partial_sum"
     sums = [float(r.split(",")[1]) for r in rows[1:]]
     assert all(b > a for a, b in zip(sums, sums[1:]))
+
+
+def test_counterexample_at_largest_k_max_builds_no_datum(tmp_path):
+    # the fit reads no coefficient: at k_max = 2^24 the run must stay under
+    # half of the 816 MiB peak it reached building the datum, and its last
+    # sum must keep the value it had then (8.248368155744407, within 1e-15).
+    # A wrapper process whose one child is the run reads the child's peak RSS
+    probe = (
+        "import resource, subprocess, sys\n"
+        "p = subprocess.run([sys.executable, '-W', 'ignore', '-m', 'fracspec.cli', *sys.argv[1:]])\n"
+        "print(p.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    src = str(Path(fracspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["counterexample", "0.5", "1.0", str(2**24), "--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    code, peak_kib = proc.stdout.split("\n")[-2].split()
+    assert code == "0", proc.stderr
+    assert int(peak_kib) < 408 * 1024, peak_kib
+    fit = json.loads((tmp_path / "growthfit.json").read_text())
+    assert fit["k_values"][-1] == 2**24 - 1  # logspace(2, log10 k_max) truncated
+    assert abs(fit["partial_sums"][-1] - 8.248368155744407) <= 1e-15 * 8.25
+    assert fit["relative_slope_error"] < 0.01
 
 
 def test_counterexample_scaled_time(tmp_path):

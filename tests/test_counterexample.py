@@ -28,7 +28,7 @@ from fracspec.errors import (
     InconclusiveError,
     RegularityError,
 )
-from fracspec.mlf import MlfParams, mlf_neg_array
+from fracspec.mlf import _BLOCK_POINTS, MlfParams, mlf_neg_array
 from fracspec.spectra import SpectralField, analyze, synthesize
 
 DECADES_1E5 = [10, 100, 1000, 10**4, 10**5]
@@ -65,6 +65,31 @@ def test_field_limit_truncates():
 def test_k_max_validation():
     with pytest.raises(DomainError):
         hl_coefficients(1)
+    with pytest.raises(DomainError):
+        HLDatum(1)
+
+
+def test_coefficients_in_blocks_match_whole_array_formula():
+    # built block by block, every bit equals the formula on the whole array
+    k = 3 * _BLOCK_POINTS + 5
+    n = np.arange(1, k + 1, dtype=float)
+    phases = n * np.log(n)
+    want = np.empty(k, dtype=complex)
+    np.cos(phases, out=want.real)
+    np.sin(phases, out=want.imag)
+    want.view(float).reshape(-1, 2)[:] /= (2.0 * n)[:, None]
+    got = hl_coefficients(k).coeffs_pos
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+
+
+def test_datum_builds_coefficients_on_first_read():
+    d = HLDatum(1000)
+    assert "coeffs_pos" not in vars(d)
+    divergence_sum(d, 0.5, 1.0, 8, [100, 1000])  # reads only k_max
+    assert "coeffs_pos" not in vars(d)
+    assert d.coeffs_pos.tobytes() == hl_coefficients(1000).coeffs_pos.tobytes()
+    assert d.coeffs_pos is d.coeffs_pos  # built once
 
 
 def test_synthesis_roundtrip():
@@ -177,6 +202,40 @@ def test_growth_partial_sums_match_fsum(rho, t):
     arg = ns**2
     arg *= t**rho
     summands = (mlf_neg_array(MlfParams(rho, 1.0), arg)[0] * ns).tolist()
+    for k, s in zip(cps, fit.partial_sums):
+        want = math.fsum(summands[: k - 9])
+        assert abs(s - want) <= 1e-15 * want, (k, s, want)
+
+
+def growth_summands(rho, t, k0, k_top):
+    ns = np.arange(k0, k_top + 1, dtype=float)
+    arg = ns**2
+    arg *= t**rho
+    return (mlf_neg_array(MlfParams(rho, 1.0), arg)[0] * ns).tolist()
+
+
+@pytest.mark.parametrize("rho, t", [(0.3, 0.5), (0.8, 2.0)])
+def test_growth_partial_sums_across_blocks_match_fsum(rho, t):
+    # the summands n = k0, k0 + 1, ... come in blocks of _BLOCK_POINTS: a
+    # checkpoint on each block edge and one either side, a repeated one and
+    # one inside the first block are each within 1e-15 of the fsum
+    k0 = 10
+    edges = [k0 + j * _BLOCK_POINTS for j in (1, 2, 3)]
+    cps = [k0 + 1] + [e + d for e in edges for d in (-1, 0, 1)] + [edges[1]]
+    fit = divergence_sum(HLDatum(max(cps)), rho, t, k0, cps)
+    summands = growth_summands(rho, t, k0, max(cps))
+    assert fit.k_values == tuple(sorted(cps))
+    for k, s in zip(fit.k_values, fit.partial_sums):
+        want = math.fsum(summands[: k - k0 + 1])
+        assert abs(s - want) <= 1e-15 * want, (k, s, want)
+    assert fit.partial_sums.count(fit.partial_sums[fit.k_values.index(edges[1])]) == 2
+
+
+def test_growth_partial_sums_within_one_block_match_fsum():
+    d = hl_coefficients(5000)
+    cps = [100, 100, 4999, 5000]
+    fit = divergence_sum(d, 0.5, 1.0, 10, cps)
+    summands = growth_summands(0.5, 1.0, 10, 5000)
     for k, s in zip(cps, fit.partial_sums):
         want = math.fsum(summands[: k - 9])
         assert abs(s - want) <= 1e-15 * want, (k, s, want)

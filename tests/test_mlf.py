@@ -502,6 +502,38 @@ def test_subnormal_model_value_estimate_bounds_its_error(rho, mu, t):
     assert err <= rep.est_rel_error <= mlf.TARGET_REL, (err, rep)
 
 
+@pytest.mark.parametrize("rho, mu", [(0.5, 1.3), (0.3, 1.5), (1.0, 1.5)])
+def test_subnormal_inverse_series_estimate_bounds_its_error(rho, mu):
+    # pairs without a model take the inverse-power series; at t = 1.7e308
+    # its sum, about 5e-309, is below the normal doubles and off by up to
+    # their spacing, which the estimate must carry (it read ~3e-23 when
+    # |v| was floored at 1e-300)
+    t = 1.7e308
+    rep = mlf.mlf_neg(mlf.MlfParams(rho, mu), t)
+    assert rep.branch is mlf.Branch.ASYMPTOTIC
+    assert 0.0 < rep.value < np.finfo(float).tiny
+    with mpmath.mp.workdps(50):
+        r, m, tt = mpmath.mpf(rho), mpmath.mpf(mu), mpmath.mpf(t)
+        ref = sum((-1) ** (k + 1) * tt**-k * mpmath.rgamma(m - r * k) for k in range(1, 6))
+        err = float(abs(rep.value - ref) / ref)
+    assert err <= rep.est_rel_error <= mlf.TARGET_REL, (err, rep)
+    assert rep.est_rel_error >= 2.0**-1074 / rep.value
+
+
+def test_valve_names_a_value_below_the_normal_doubles():
+    # E_{0.5,0.5}(-1e200) ~ 1e-400 reads 0.0 from its model, and every term
+    # of E_{0.5,50}(-1.7e308) ~ 1e-370 underflows to 0.0 in the inverse-power
+    # series (certified with est 0 when |v| was floored at 1e-300): both go
+    # to the valve, which refuses them for the value, not for cancellation
+    for mu, t in [(0.5, 1e200), (50.0, 1.7e308)]:
+        with pytest.raises(AccuracyError) as exc:
+            mlf.mlf_neg_array(mlf.MlfParams(0.5, mu), [3.0, t])
+        assert str(exc.value) == (
+            f"value 0 is below the normal doubles: no branch certifies 1e-10 "
+            f"(rho=0.5, mu={mu}, t={t})"
+        )
+
+
 @pytest.mark.parametrize(
     "rho", [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.9999]
 )

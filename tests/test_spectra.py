@@ -451,6 +451,29 @@ def test_tail_verdicts_need_ascending_radii_and_sum_shells_in_runs():
         np.testing.assert_allclose(sums, want, rtol=1e-13, atol=0.0)
 
 
+def test_octave_sums_over_blocks_match_per_shell_fsum():
+    # radii over more than three blocks of _BLOCK_POINTS: the shell
+    # [65536, 131072) spans several blocks, [8, 16) and [1024, 2048) are
+    # empty, and each shell sum is within 1e-13 of its fsum
+    from fracspec.mlf import _BLOCK_POINTS
+
+    rng = np.random.default_rng(21)
+    r = np.sort(rng.uniform(1.0, 2.0**17, 5 * _BLOCK_POINTS))
+    r = r[((r < 8) | (r >= 16)) & ((r < 1024) | (r >= 2048))]
+    w = rng.uniform(0.0, 1.0, r.size) * r**-2.0
+    n_shells = 17
+    assert np.searchsorted(r, 2.0**n_shells) > 3 * _BLOCK_POINTS
+    shell = np.frexp(r)[1] - 1
+    exponents = [-0.5, 0.0, 0.5, 1.5]
+    got = spectra._octave_sums(r, w, exponents, n_shells)
+    assert got.shape == (len(exponents), n_shells)
+    for a, sums in zip(exponents, got):
+        terms = np.exp(a * np.log1p(r**2)) * w
+        want = [math.fsum(terms[shell == j]) for j in range(n_shells)]
+        assert sums[3] == 0.0 and sums[10] == 0.0
+        np.testing.assert_allclose(sums, want, rtol=1e-13, atol=0.0)
+
+
 def test_fractional_power_basics():
     c = SpectralField({2: 1.0}, 5)
     out = apply_fractional_power(c, 1.0)
