@@ -75,9 +75,16 @@ bounds, each stated in t (s >= 36 if and only if t >= 36**rho):
 Any element whose certified estimate still exceeds the target escalates
 to the extended-precision series (mpmath) with cancellation-aware digits;
 that valve is the one extended-precision path and the only code that
-imports mpmath.  A point it cannot certify, as one whose s = t**(1/rho)
-would need more than 400 digits, raises ``AccuracyError``.  Gap-model
-values report the ``extended_precision`` branch as well.
+imports mpmath.  Its series stops at the first term below 10**(-dps-6) of
+its largest partial sum (not of 1, so a small 1/Gamma(mu) is summed in
+full).  A point it cannot certify, as one whose s = t**(1/rho) would need
+more than 400 digits, raises ``AccuracyError``.  Gap-model values report
+the ``extended_precision`` branch as well.  Large mu: where 1/Gamma(mu),
+a 1/Gamma of the power series (exp(-lgamma) past 171.6, where Gamma
+overflows) or the series value lies below the normal doubles, from mu ~
+171.4 on, the point goes to the valve, whose value there gains
+2**-1074/|v| in its estimate; one that rounds to 0.0, as E_{0.5,200}(-t)
+does, raises ``AccuracyError`` naming the value below the normal doubles.
 
 The kernel's running integral, K(x) = x^rho E_{rho,rho+1}(-lam x^rho), is
 x^rho Sum_{k>=1} (-y)^{k-1}/Gamma(rho k+1) where y = lam x^rho <= 0.5, and
@@ -195,23 +202,29 @@ def _series_many(rho: float, mu: float, t: np.ndarray, out_v=None, out_e=None):
     neg_t = -np.asarray(t, dtype=float)
     s, c, absum, p = np.zeros(n), np.zeros(n), np.zeros(n), np.ones(n)
     live, left = np.ones(n, dtype=bool), n
-    k = 0
+    k, lost = 0, False
     while left:
         arg = rho * k + mu
-        term = p * float(gammafn.rgamma(arg))
+        rg = float(gammafn.rgamma(arg))
+        lost = lost or rg < _TINY  # past 171.6 it is exp(-lgamma(arg)), off by ~lgamma eps
+        term = p * rg
         y = term - c
         snew = s + y
         c = (snew - s) - y
         s = snew
         absum += np.abs(term)
         if (arg > 2.5 and k >= 2) or k > _SERIES_KMAX:
-            mag = np.maximum(np.abs(s), 1e-300)
+            mag = np.abs(s)
             stop = np.abs(term) <= 1e-18 * mag if k <= _SERIES_KMAX else live
             done = np.flatnonzero(stop & live)
             if done.size:
                 m = mag[done]
                 out_v[done] = s[done]
-                out_e[done] = absum[done] / m * (8.0 * _EPS) + 2.0 * np.abs(term[done]) / m
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    e = absum[done] / m * (8.0 * _EPS) + 2.0 * np.abs(term[done]) / m
+                # a 1/Gamma or a value below the normal doubles has lost bits
+                # the estimate does not count: the valve takes the point
+                out_e[done] = np.where((m < _TINY) | lost, np.inf, e)
                 live[done] = False
                 left -= done.size
         p *= neg_t
@@ -302,7 +315,8 @@ def _mp_value(rho: float, mu: float, t: float, dps: int):
             a = abs(s)
             if a > maxmag:
                 maxmag = a
-            if abs(term) < thresh * max(maxmag, mpf(1)) and rho_ * k + mu_ > 3:
+            # the sum's own scale: 1/Gamma(mu) may lie far below 1
+            if abs(term) < thresh * maxmag and rho_ * k + mu_ > 3:
                 break
             p *= -t_
             k += 1
@@ -311,8 +325,11 @@ def _mp_value(rho: float, mu: float, t: float, dps: int):
                     f"extended-precision series did not converge (rho={rho}, mu={mu}, t={t})"
                 )
         val = float(s)
-        cond = float(maxmag / max(abs(s), mpf(1) * 10 ** (-dps)))
-        est = cond * 10.0 ** (1 - dps) + 4.0 * _EPS
+        if val == 0.0:
+            return val, math.inf
+        # the rounding to a double, 2**-1074 absolute below the normal doubles
+        pad = 4.0 * _EPS if abs(val) >= _TINY else _SUBNORMAL_MIN / abs(val)
+        est = float(maxmag / abs(s)) * 10.0 ** (1 - dps) + pad
     return val, est
 
 
@@ -684,10 +701,15 @@ def _eval_block(rho: float, mu: float, t: np.ndarray, vals, ests, codes) -> None
                 idx = np.flatnonzero(pick)
                 _gathered(run, x, idx, vals, ests)
                 codes[idx] = code
-    # libm gamma is exact at integers, so E(0) = 1 comes out exactly 1
-    vals[zero] = 1.0 / math.gamma(mu)
-    ests[zero] = 8.0 * _EPS
-    codes[zero] = _SER
+    if len(zero):
+        # libm gamma is exact at integers, so E(0) = 1 comes out exactly 1; a
+        # 1/Gamma(mu) below the normal doubles, or past them, goes to the valve
+        try:
+            vals[zero] = 1.0 / math.gamma(mu)
+        except OverflowError:
+            vals[zero] = 0.0
+        ests[zero] = 8.0 * _EPS if vals[zero[0]] >= _TINY else math.inf
+        codes[zero] = _SER
 
     # correctness valve: anything not certified re-runs at extended precision
     bad = np.flatnonzero(ests > TARGET_REL) if ests.max() > TARGET_REL else ()
@@ -695,19 +717,17 @@ def _eval_block(rho: float, mu: float, t: np.ndarray, vals, ests, codes) -> None
         try:
             vals[j], ests[j] = _mp_eval(rho, mu, float(t[j]))
         except AccuracyError:
-            if abs(vals[j]) < _TINY:  # the branch's value, below the normal doubles
-                raise AccuracyError(
-                    f"value {vals[j]:.3g} is below the normal doubles: no branch "
-                    f"certifies {TARGET_REL:g} (rho={rho}, mu={mu}, t={t[j]})"
-                ) from None
-            raise
+            if abs(vals[j]) >= _TINY:
+                raise
         codes[j] = _EXT
-    # only an escalated point can still miss the target
-    for j in bad:
-        if ests[j] > TARGET_REL:
+        if ests[j] <= TARGET_REL:
+            continue
+        if abs(vals[j]) < _TINY:  # the valve's value, or the refused branch's
             raise AccuracyError(
-                f"no branch certifies {TARGET_REL:g} at rho={rho}, mu={mu}, t={t[j]}"
+                f"value {vals[j]:.3g} is below the normal doubles: no branch "
+                f"certifies {TARGET_REL:g} (rho={rho}, mu={mu}, t={t[j]})"
             )
+        raise AccuracyError(f"no branch certifies {TARGET_REL:g} at rho={rho}, mu={mu}, t={t[j]}")
 
 
 def _zones(rho: float, mu: float, x: np.ndarray):
@@ -776,21 +796,14 @@ def branch_from_code(code: int) -> Branch:
     return _BRANCH_BY_CODE[int(code)]
 
 
-def mlf_kernel(rho: float, lam: float, xi: float) -> float:
-    """Relaxation kernel xi^{rho-1} E_{rho,rho}(-lam xi^rho); positive.
-
-    The true value is strictly positive; at rho = 1 it decays exponentially
-    and underflows to 0.0 once lam*xi exceeds ~745 (below the double floor).
-    For rho < 1 the decay is algebraic and the result stays representable.
-    """
-    _check_kernel_params(rho, lam)
-    if not (xi > 0.0) or not math.isfinite(xi):
-        raise DomainError(f"kernel requires xi > 0, got {xi}")
-    return float(mlf_kernel_array(rho, lam, np.array([xi]))[0])
-
-
 def mlf_kernel_array(rho: float, lam: float, xi) -> np.ndarray:
-    """Vectorized mlf_kernel over an array of positive xi."""
+    """Relaxation kernel xi^{rho-1} E_{rho,rho}(-lam xi^rho) over an array of positive xi.
+
+    The true values are strictly positive.  At rho = 1 the kernel decays
+    exponentially and underflows to 0.0 once lam*xi exceeds ~745 (below the
+    doubles); for rho < 1 the decay is algebraic and the values stay
+    representable.
+    """
     _check_kernel_params(rho, lam)
     xi = np.asarray(xi, dtype=float)
     # min is NaN when any point is, and NaN > 0 is false
@@ -884,17 +897,6 @@ def mlf_kernel_primitive(rho: float, lam: float, a: float, b: float) -> float:
         return float(br * _kernel_series(rho, np.array([lam * br]), lnq)[0])
     v, _, _ = _eval_many(rho, 1.0, np.array([lam * a**rho, lam * br]))
     return float((v[0] - v[1]) / lam)
-
-
-def mlf_asymptotic_leading(rho: float, s: float) -> float:
-    """Leading large-argument term of E_{rho,1}(-s): 1/(Gamma(1-rho) * s)."""
-    if not (0.0 < rho < 1.0):
-        raise DomainError(
-            f"leading term requires rho in (0, 1); rho={rho} has a different regime"
-        )
-    if not (s > 0.0) or not math.isfinite(s):
-        raise DomainError(f"s must be finite and positive, got {s}")
-    return float(gammafn.rgamma(1.0 - rho)) / s
 
 
 def check_decay_bound(params: MlfParams, t_samples) -> float:

@@ -21,14 +21,15 @@ nodes are reused); each q_i evaluated at the lags once per batch of shells,
 not per mode; and a mode's convolution formed as sum_i g_i[n] C_i(lam, t).
 Only the refinement decision is per mode.  solve_mode is its one-mode case.
 
-The L1 differentiator closes the loop: residuals of the computed w under the
-discrete Caputo operator verify the equation itself.
+The L1 differentiator closes the loop: solver.residual applies it to the
+computed field, so residuals under the discrete Caputo operator verify the
+equation itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -261,15 +262,6 @@ def _kernel_level(rho, lam, times, mesh, profiles, coarse=None):
     return cum, conv
 
 
-def convolve_kernel(rho: float, lam: float, f_n: TimeProfile, t: float, mesh: GradedMesh) -> complex:
-    """Integral of f_n(t-xi) xi^{rho-1} E_{rho,rho}(-lam xi^rho) over [0, t], on mesh alone."""
-    mlf._check_kernel_params(rho, lam)
-    if not (0.0 < t <= mesh.T * (1.0 + 1e-12)):
-        raise DomainError(f"need 0 < t <= mesh.T = {mesh.T}, got t = {t}")
-    _, conv = _kernel_level(rho, np.array([float(lam)]), np.array([float(t)]), mesh, [f_n])
-    return complex(conv[0, 0, 0])
-
-
 def solve_shells(
     rho: float,
     lam,
@@ -414,7 +406,7 @@ def solve_mode(
     )
 
 
-# --- L1 discrete differentiators ---------------------------------------------
+# --- L1 discrete differentiator ----------------------------------------------
 
 
 def _l1_weights(rho: float, count: int) -> np.ndarray:
@@ -448,93 +440,3 @@ def caputo_l1(h, rho: float, dt: float) -> np.ndarray:
     if np.all(hv.imag == 0.0):
         return re
     return re + 1j * im
-
-
-def riemann_liouville_l1(h, rho: float, dt: float) -> np.ndarray:
-    """Riemann-Liouville companion: Caputo output plus h(0) t^{-rho}/Gamma(1-rho).
-
-    Output points start at t = dt, so the t = 0 singularity of the correction
-    is never evaluated.
-    """
-    base = caputo_l1(h, rho, dt)
-    hv = np.asarray(h, dtype=complex)
-    m = np.arange(1, hv.shape[-1])
-    corr = hv[..., :1] * (m * dt) ** (-rho) / math.gamma(1.0 - rho)
-    if base.dtype != complex:
-        return base + corr.real
-    return base + corr
-
-
-@dataclass(frozen=True)
-class CauchyResidualReport:
-    """Discrete-equation residuals for one mode at two resolutions."""
-
-    dt: float
-    max_residual: float
-    initial_layer_max: float
-    observed_rate: float
-    initial_value_error: float
-
-
-def verify_cauchy(
-    rho: float,
-    lam: float,
-    phi_n: complex,
-    f_n: TimeProfile,
-    dt: float,
-    T: float,
-    mesh: GradedMesh | None = None,
-) -> CauchyResidualReport:
-    """Check D^rho w + lam w = f and w(0) = phi on the discrete grid.
-
-    The max residual is taken over t in [0.05 T, T]; the initial layer is
-    reported separately because the exact solution's t^rho behaviour caps the
-    L1 rate there.  The observed rate compares dt with dt/2 residuals.
-    """
-    if not (0.0 < rho < 1.0):
-        raise DomainError(f"residual verification needs rho in (0, 1), got {rho}")
-    mlf._check_kernel_params(rho, lam)
-    if not (T > 0.0) or not (0.0 < dt < T):
-        raise DomainError(f"need 0 < dt < T, got dt={dt}, T={T}")
-    n = round(T / dt)
-    if abs(n * dt - T) > 1e-9 * T or n < 4:
-        raise MeshError(f"T must be an integral multiple (>= 4) of dt, got T/dt = {T/dt}")
-    if mesh is None:
-        mesh = GradedMesh(T, 256, default_grading(rho))
-
-    def residuals(steps: int) -> tuple[np.ndarray, float]:
-        step = T / steps
-        times = step * np.arange(steps + 1)
-        sol = solve_mode(rho, lam, phi_n, f_n, times, mesh)
-        dw = caputo_l1(sol.values, rho, step)
-        w_tail = np.asarray(sol.values[1:])
-        f_tail = f_n(times[1:]) if f_n is not None else np.zeros(steps, dtype=complex)
-        res = np.abs(dw + lam * w_tail - f_tail)
-        iv_err = abs(sol.values[0] - phi_n)
-        return res, iv_err
-
-    res1, iv_err = residuals(n)
-    res2, _ = residuals(2 * n)
-    t1 = dt * np.arange(1, n + 1)
-    t2 = (dt / 2) * np.arange(1, 2 * n + 1)
-    layer = 0.05 * T
-    body1 = float(np.max(res1[t1 >= layer]))
-    body2 = float(np.max(res2[t2 >= layer]))
-    layer1 = float(np.max(res1[t1 < layer])) if np.any(t1 < layer) else 0.0
-
-    scale = max(abs(phi_n), float(np.max(np.abs(f_n(t1)))) if f_n is not None else 0.0, 1e-30)
-    if body1 <= 1e-12 * scale and body2 <= 1e-12 * scale:
-        rate = math.inf  # both residuals at rounding level: exact cases
-    else:
-        if body2 >= body1:
-            raise ConvergenceError(
-                f"residual did not decrease under refinement: {body1:.3e} -> {body2:.3e}"
-            )
-        rate = math.log2(body1 / body2)
-    return CauchyResidualReport(
-        dt=float(dt),
-        max_residual=body1,
-        initial_layer_max=layer1,
-        observed_rate=rate,
-        initial_value_error=iv_err,
-    )

@@ -328,13 +328,6 @@ class GridField:
         self.samples = arr
 
     @staticmethod
-    def from_flat(values, dimension: int, points_per_axis: int) -> "GridField":
-        arr = np.asarray(values, dtype=complex).reshape(
-            (int(points_per_axis),) * int(dimension)
-        )
-        return GridField(arr)
-
-    @staticmethod
     def axis_points(points_per_axis: int) -> np.ndarray:
         m = int(points_per_axis)
         return -math.pi + _TWO_PI * np.arange(m) / m

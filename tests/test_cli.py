@@ -105,6 +105,59 @@ def test_mlf_value_below_normal_doubles_exits_1(capsys):
     assert "below the normal doubles" in err and "cancellation" not in err
 
 
+def mlf_rows(capsys, *argv):
+    """(t, value, est, branch) rows that `fracspec mlf` prints."""
+    assert main(["mlf", *argv]) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.split()[1:]]
+    return [(float(t), float(v), float(e), b) for t, v, e, b in rows]
+
+
+def test_mlf_gap_model_rows_against_erfc(capsys):
+    # rho = 0.5, mu = 1: the gap model, summed by Horner's rule, gives every
+    # gap point, within 1e-12 of E_{1/2,1}(-t) = exp(t^2) erfc(t)
+    rows = mlf_rows(capsys, "0.5", "1.0", "0.6", "1.0", "2.0", "4.0", "5.9")
+    assert len(rows) == 5 and {b for *_, b in rows} == {"extended_precision"}
+    assert max(abs(v / (math.exp(t * t) * math.erfc(t)) - 1.0) for t, v, _, _ in rows) <= 1e-12
+    # rho = 0.9, mu = 1: the gap model summed by Clenshaw's recurrence
+    rows = mlf_rows(capsys, "0.9", "1.0", "1.0", "5.0", "20.0")
+    assert [b for *_, b in rows] == ["extended_precision"] * 3
+
+
+def test_mlf_rows_of_a_pair_without_model(capsys):
+    # (0.5, 1.3): its gap point t = 2.5 comes from the extended-precision valve
+    rows = mlf_rows(capsys, "0.5", "1.3", "0.3", "2.5", "10.0")
+    assert [b for *_, b in rows] == ["series", "extended_precision", "asymptotic"]
+    # (0.5, 1.5): E(-t) = (1 - erfcx(t))/t within 1e-10, and the inverse-power
+    # series (`asymptotic`) takes t >= 10
+    from scipy.special import erfcx
+
+    rows = mlf_rows(capsys, "0.5", "1.5", "0.3", "2.0", "10.0", "40.0", "1e4")
+    assert len(rows) == 5
+    assert max(abs(v * t / (1.0 - erfcx(t)) - 1.0) for t, v, _, _ in rows) <= 1e-10
+    assert all(b == "asymptotic" for t, _, _, b in rows if t >= 10.0)
+
+
+def test_mlf_far_rows_stay_asymptotic(capsys):
+    # near rho = 1 the points past s = 36 do not fall to the valve, nor do
+    # t = 1e200 and 1e300
+    rows = mlf_rows(capsys, "0.9999", "0.9999", "36.5", "40.0")
+    assert [b for *_, b in rows] == ["asymptotic"] * 2
+    rows = mlf_rows(capsys, "0.5", "1.0", "1e200", "1e300")
+    assert [b for *_, b in rows] == ["asymptotic"] * 2
+
+
+def test_mlf_large_mu(capsys):
+    # E_{0.5,150}(-10) = 1.4442882267129972e-261 (mpmath); past mu ~ 171.6
+    # Gamma(mu) overflows, and E_{0.5,200}(-1) ~ 2.4e-373 is below the doubles
+    ((_, v, est, _),) = mlf_rows(capsys, "0.5", "150", "10")
+    assert abs(v / 1.4442882267129972e-261 - 1.0) <= 1e-10 and est <= 1e-10
+    for t in ("0", "1.0"):
+        assert main(["mlf", "0.5", "200", t]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "below the normal doubles" in err
+        assert "Traceback" not in err
+
+
 # --- solve -----------------------------------------------------------------------
 
 
@@ -354,6 +407,13 @@ def test_counterexample_files_and_fit(tmp_path, capsys):
     assert all(b > a for a, b in zip(sums, sums[1:]))
 
 
+def test_counterexample_growth_slope_at_rho_0_3(tmp_path, capsys):
+    # nearly all of its points on the asymptotic model's linear part
+    out = tmp_path / "ce"
+    assert main(["counterexample", "0.3", "0.5", "200000", "--out", str(out)]) == 0
+    assert json.loads((out / "growthfit.json").read_text())["relative_slope_error"] <= 0.05
+
+
 def test_counterexample_at_largest_k_max_builds_no_datum(tmp_path):
     # the fit reads no coefficient: at k_max = 2^24 the run must stay under
     # half of the 816 MiB peak it reached building the datum, and its last
@@ -440,6 +500,15 @@ def test_norm_hl_critical(tmp_path, capsys):
     crit_line = out[-1]
     assert crit_line.startswith("critical_exponent,")
     assert float(crit_line.split(",")[1]) == pytest.approx(0.5, abs=0.05)
+
+
+def test_norm_places_slow_decay_at_one_half(tmp_path, capsys):
+    # (1 + n^2)^-1/2 for |n| <= 1200 has critical exponent 1/2
+    f = tmp_path / "slow_decay.csv"
+    rows = "".join(f"{n},{(1 + n * n) ** -0.5!r},0\n" for n in range(-1200, 1201))
+    f.write_text("n_1,re,im\n" + rows)
+    assert main(["norm", str(f), "--a", "0.2", "0.4", "0.6", "0.8"]) == 0
+    assert capsys.readouterr().out.strip().split("\n")[-1] == "critical_exponent,0.5"
 
 
 def test_norm_malformed_input(tmp_path, capsys):

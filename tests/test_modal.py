@@ -3,10 +3,6 @@
 Closed-form anchors used below (independent of any implementation detail):
   Caputo D^{1/2} of h(t) = t equals t^{1/2}/Gamma(3/2); at t = 1 this is
     1/Gamma(1.5) = 1.1283791670955126.
-  Riemann-Liouville D^{1/2} of h = 1 is t^{-1/2}/Gamma(1/2); at t = 4 this is
-    0.28209479177387814.
-  Riemann-Liouville D^{1/2} of h = t + 1 at t = 1 is the sum of the two:
-    1.6925687506424026.
   For rho = 1, lam = 1, phi = 0, f = e^{-t}: w(t) = t e^{-t}, so
     w(1) = 0.36787944117144233.
 """
@@ -19,17 +15,14 @@ import pytest
 
 from fracspec.errors import ConvergenceError, DomainError, MeshError
 from fracspec.modal import (
-    CauchyResidualReport,
     GradedMesh,
     ModeSolution,
     TimeProfile,
+    _kernel_level,
     caputo_l1,
-    convolve_kernel,
     default_grading,
-    riemann_liouville_l1,
     solve_mode,
     solve_shells,
-    verify_cauchy,
 )
 from fracspec.mlf import MlfParams, mlf_kernel_primitive, mlf_neg
 
@@ -188,32 +181,6 @@ def test_caputo_domain_errors():
         caputo_l1([[1.0], [2.0]], 0.5, 0.1)
 
 
-def test_riemann_liouville_constant_frozen_value():
-    n = 40
-    dt = 0.1  # t ranges to 4.0
-    out = riemann_liouville_l1(np.ones(n + 1), 0.5, dt)
-    assert out[-1] == pytest.approx(0.28209479177387814, abs=1e-12)
-    # Caputo part vanishes for constants; pure t^{-1/2}/Gamma(1/2) remains.
-    t = dt * np.arange(1, n + 1)
-    assert np.allclose(out, t**-0.5 / math.gamma(0.5), atol=1e-12)
-
-
-def test_riemann_liouville_ramp_plus_one_frozen_value():
-    n = 50
-    dt = 1.0 / n
-    t = dt * np.arange(n + 1)
-    out = riemann_liouville_l1(t + 1.0, 0.5, dt)
-    assert out[-1] == pytest.approx(1.6925687506424026, abs=1e-11)
-
-
-def test_riemann_liouville_matches_caputo_for_zero_start():
-    rng = np.random.default_rng(3)
-    h = np.concatenate([[0.0], rng.normal(size=30)])
-    a = caputo_l1(h, 0.7, 0.05)
-    b = riemann_liouville_l1(h, 0.7, 0.05)
-    assert np.allclose(a, b, rtol=0, atol=1e-14)
-
-
 def test_l1_linearity():
     rng = np.random.default_rng(11)
     h1 = rng.normal(size=33)
@@ -226,34 +193,27 @@ def test_l1_linearity():
 # --- convolution --------------------------------------------------------------
 
 
+def convolve(rho, lam, f, t, mesh):
+    """The product-integration convolution of f with the kernel at t, on mesh alone."""
+    _, conv = _kernel_level(rho, np.array([lam]), np.array([t]), mesh, [f])
+    return complex(conv[0, 0, 0])
+
+
 def test_convolution_constant_source_exact_any_mesh():
     # Constant f makes the product-integration rule exact: the result is the
     # integrated kernel regardless of subdivision count.
     rho, lam, t = 0.6, 3.0, 1.7
     want = 2.5 * mlf_kernel_primitive(rho, lam, 0.0, t)
     for M in (1, 3, 17):
-        got = convolve_kernel(rho, lam, TimeProfile.constant(2.5), t, GradedMesh(2.0, M, 2.0))
+        got = convolve(rho, lam, TimeProfile.constant(2.5), t, GradedMesh(2.0, M, 2.0))
         assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_convolution_classical_exponential_oracle():
     # rho = 1, lam = 1, f = e^{-t}: w(t) = t e^{-t}.
     mesh = GradedMesh(1.0, 2048, 2.0)
-    got = convolve_kernel(1.0, 1.0, TimeProfile.exponential(-1.0), 1.0, mesh)
+    got = convolve(1.0, 1.0, TimeProfile.exponential(-1.0), 1.0, mesh)
     assert got == pytest.approx(0.36787944117144233, abs=5e-8)
-
-
-def test_convolution_domain_errors():
-    mesh = GradedMesh(1.0, 8, 2.0)
-    f = TimeProfile.constant(1.0)
-    with pytest.raises(DomainError):
-        convolve_kernel(0.5, 1.0, f, 0.0, mesh)
-    with pytest.raises(DomainError):
-        convolve_kernel(0.5, 1.0, f, 1.5, mesh)
-    with pytest.raises(DomainError):
-        convolve_kernel(1.5, 1.0, f, 0.5, mesh)
-    with pytest.raises(DomainError):
-        convolve_kernel(0.5, -1.0, f, 0.5, mesh)
 
 
 def test_convolution_doubling_ratios():
@@ -262,9 +222,9 @@ def test_convolution_doubling_ratios():
     rho, lam, t = 0.6, 4.0, 1.5
     f = TimeProfile.cosine(2.0)
     r = default_grading(rho)
-    ref = convolve_kernel(rho, lam, f, t, GradedMesh(t, 4096, r))
+    ref = convolve(rho, lam, f, t, GradedMesh(t, 4096, r))
     errs = [
-        abs(convolve_kernel(rho, lam, f, t, GradedMesh(t, M, r)) - ref)
+        abs(convolve(rho, lam, f, t, GradedMesh(t, M, r)) - ref)
         for M in (64, 128, 256, 512)
     ]
     for coarse, fine in zip(errs, errs[1:]):
@@ -449,38 +409,3 @@ def test_solve_mode_convergence_error_on_unreachable_tolerance():
             GradedMesh(1.0, 4, 2.0), tolerance=1e-15,
         )
 
-
-# --- residual verification ------------------------------------------------------
-
-
-def test_verify_cauchy_homogeneous():
-    rep = verify_cauchy(0.5, 1.0, 1.0, TimeProfile.zero(), dt=1.0 / 64, T=1.0)
-    assert isinstance(rep, CauchyResidualReport)
-    assert rep.initial_value_error == 0.0
-    assert rep.max_residual < 0.05
-    assert rep.observed_rate > 0.2
-    # the t^rho initial layer is genuinely harder; it is reported, not hidden
-    assert rep.initial_layer_max >= rep.max_residual
-
-
-def test_verify_cauchy_forced():
-    rep = verify_cauchy(0.7, 4.0, 0.5, TimeProfile.cosine(1.0), dt=1.0 / 64, T=1.0)
-    assert rep.max_residual < 0.05
-    assert rep.observed_rate > 0.2
-
-
-def test_verify_cauchy_exact_constant_solution():
-    # lam = 0, f = 0 keeps w identically phi; residuals sit at rounding level.
-    rep = verify_cauchy(0.5, 0.0, 2.0, TimeProfile.zero(), dt=0.125, T=1.0)
-    assert rep.max_residual < 1e-12
-    assert rep.observed_rate == math.inf
-
-
-def test_verify_cauchy_validation():
-    f = TimeProfile.zero()
-    with pytest.raises(DomainError):
-        verify_cauchy(1.0, 1.0, 1.0, f, dt=0.1, T=1.0)  # L1 needs rho < 1
-    with pytest.raises(MeshError):
-        verify_cauchy(0.5, 1.0, 1.0, f, dt=0.3, T=1.0)  # T/dt not integral
-    with pytest.raises(DomainError):
-        verify_cauchy(0.5, 1.0, 1.0, f, dt=2.0, T=1.0)

@@ -397,6 +397,48 @@ def test_residual_halving_rate():
     assert rate >= 1.0
 
 
+def one_mode_residuals(rho, phi, g, q, steps):
+    """Residual reports at dt = 1/steps and 1/(2 steps) for data phi and source g(x) q(t).
+
+    phi and g are a cosine of one mode n, or constants: at x = -pi, a grid
+    node, cos(n x) is +-1, so the grid sup of the residual is the mode's own.
+    """
+    spec = ProblemSpec(dimension=1, rho=rho, T=1.0, phi=phi, source=((g, q),))
+    k = spec.phi.truncation_radius_sq
+    reports = []
+    for n in (steps, 2 * steps):
+        sol = solve(spec, np.linspace(0.0, 1.0, n + 1), k, spectra.min_alias_free_grid(k))
+        reports.append(residual(sol, spec, dt=1.0 / n))
+    return reports
+
+
+def test_residual_one_mode_homogeneous():
+    # lam = |n|^2 = 1, phi_n = 1, no source: the body shrinks under halving,
+    # and the t^rho initial layer, harder, is reported apart
+    mode = builtin_field("cosine_mode", mode=(1,))
+    coarse, fine = one_mode_residuals(0.5, mode, mode, TimeProfile.zero(), 64)
+    assert coarse.initial_error == 0.0
+    assert coarse.sup_residual < 0.05
+    assert math.log2(coarse.sup_residual / fine.sup_residual) > 0.2
+    assert coarse.initial_layer_sup >= coarse.sup_residual
+
+
+def test_residual_one_mode_forced():
+    # lam = 4, phi_n = 0.5, f_n = cos t
+    phi = builtin_field("cosine_mode", mode=(2,), amplitude=0.5)
+    g = builtin_field("cosine_mode", mode=(2,))
+    coarse, fine = one_mode_residuals(0.7, phi, g, TimeProfile.cosine(1.0), 64)
+    assert coarse.sup_residual < 0.05
+    assert math.log2(coarse.sup_residual / fine.sup_residual) > 0.2
+
+
+def test_residual_one_mode_exact_constant_solution():
+    # lam = 0, f = 0 keeps u identically 2; residuals sit at rounding level
+    phi = builtin_field("constant", value=2.0)
+    coarse, fine = one_mode_residuals(0.5, phi, phi, TimeProfile.zero(), 8)
+    assert coarse.sup_residual < 1e-12 and fine.sup_residual < 1e-12
+
+
 def test_residual_classical_limit_small():
     spec = ProblemSpec(dimension=1, rho=1.0, T=1.0, phi="cosine_mode")
     n = 2048

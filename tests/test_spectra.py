@@ -132,7 +132,7 @@ def test_grid_field_validation():
         GridField(np.ones(1))  # too small
     with pytest.raises(DomainError):
         GridField(np.ones((5, 7)))  # not a cube
-    f = GridField.from_flat(np.arange(25.0), 2, 5)
+    f = GridField(np.reshape(np.arange(25.0), (5, 5)))
     assert f.samples.shape == (5, 5)
     assert f.samples[1, 2] == 7.0  # row-major order
 
